@@ -3,14 +3,17 @@
 // per leaf) with Zipf activity of ~10^3 draws per slot — run end-to-end
 // through the job-level engine, twice:
 //
-//   1. an *audited* leg with the per-slot InvariantAuditor in throw mode
-//      (auditor attached => traced decides => the dense per-slot path), and
+//   1. an *audited* reference leg with the per-slot InvariantAuditor in
+//      throw mode, whose scheduler decides on a copy of each observation
+//      with the active-type hint cleared (HintlessScheduler below) — so the
+//      per-slot problem covers all J = 10^6 types, an independent O(J)
+//      re-derivation of every decision, and
 //   2. an *unaudited* leg on the sparse per-slot path the production engine
 //      runs (the active-type hint + clamped queues).
 //
 // The two legs must agree bitwise on every per-slot metric and on the
 // cumulative per-account work — the engine-level statement of the
-// sparse == dense contract at M = 10^6. The process exits nonzero on any
+// hinted == identity-list contract at M = 10^6. The process exits nonzero on any
 // invariant violation or metric divergence. It prints its own getrusage
 // peak RSS (portable to hosts without GNU time); CI parses that line and
 // asserts it stays under 1 GB: state must track the active set, not M.
@@ -32,9 +35,39 @@ namespace {
 
 using namespace grefar;
 
+/// Reference decorator for the audited leg: every decide sees a copy of the
+/// observation with the active-type hint cleared, so the wrapped scheduler
+/// solves over all J types instead of trusting the hint. Local to this
+/// smoke on purpose — it is a test harness, not a library option.
+class HintlessScheduler final : public Scheduler {
+ public:
+  explicit HintlessScheduler(std::shared_ptr<Scheduler> inner) : inner_(std::move(inner)) {}
+
+  SlotAction decide(const SlotObservation& obs) override {
+    return inner_->decide(without_hint(obs));
+  }
+  using Scheduler::decide_into;
+  void decide_into(const SlotObservation& obs, SlotAction& out,
+                   TraceScope* scope) override {
+    inner_->decide_into(without_hint(obs), out, scope);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  const SlotObservation& without_hint(const SlotObservation& obs) {
+    copy_ = obs;
+    copy_.active_types_valid = false;
+    copy_.active_types.clear();
+    return copy_;
+  }
+
+  std::shared_ptr<Scheduler> inner_;
+  SlotObservation copy_;  // reused across slots
+};
+
 /// Bitwise comparison of the per-slot series and cumulative account work; any
-/// divergence between the audited (dense) and unaudited (sparse) legs is a
-/// contract break, not noise.
+/// divergence between the audited (hint-less) and unaudited (sparse) legs is
+/// a contract break, not noise.
 bool runs_bitwise_equal(const SimMetrics& a, const SimMetrics& b) {
   bool ok = a.slots() == b.slots();
   for (std::size_t t = 0; ok && t < a.slots(); ++t) {
@@ -63,7 +96,7 @@ int main(int argc, char** argv) {
   using namespace grefar::bench;
 
   CliParser cli("large_scale_smoke",
-                "million-account scale smoke: audited dense leg vs sparse "
+                "million-account scale smoke: audited hint-less leg vs sparse "
                 "production leg, bitwise-compared");
   add_common_options(cli, /*default_horizon=*/"48");
   cli.add_option("V", "2.0", "GreFar cost-delay parameter");
@@ -111,8 +144,9 @@ int main(int argc, char** argv) {
   // buffers) is destroyed before the next leg builds, so peak RSS reflects
   // one live stack, which is what the CI bound measures.
   auto run_leg = [&](bool audited) -> std::optional<SimMetrics> {
-    auto scheduler = std::make_shared<GreFarScheduler>(
+    std::shared_ptr<Scheduler> scheduler = std::make_shared<GreFarScheduler>(
         scenario.config, params, PerSlotSolver::kProjectedGradient);
+    if (audited) scheduler = std::make_shared<HintlessScheduler>(std::move(scheduler));
     auto engine = std::make_unique<SimulationEngine>(
         scenario.config, scenario.prices, scenario.availability,
         scenario.arrivals, std::move(scheduler));
@@ -133,7 +167,7 @@ int main(int argc, char** argv) {
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   start)
             .count();
-    std::cout << (audited ? "audited (dense) leg: " : "sparse leg:          ")
+    std::cout << (audited ? "audited (hint-less) leg: " : "sparse leg:              ")
               << leg_ms << " ms for " << horizon << " slots ("
               << leg_ms / static_cast<double>(horizon) << " ms/slot), peak RSS "
               << peak_rss_mb() << " MB\n";
@@ -157,15 +191,15 @@ int main(int argc, char** argv) {
   if (!sparse.has_value()) return 1;
 
   if (audited.has_value() && !runs_bitwise_equal(*audited, *sparse)) {
-    std::cout << "SCALE SMOKE FAILED: sparse leg diverges from audited dense "
-                 "leg\n";
+    std::cout << "SCALE SMOKE FAILED: sparse leg diverges from audited "
+                 "hint-less leg\n";
     return 1;
   }
 
   std::cout << "summary (sparse leg):\n"
             << sparse->summary_json().dump(2) << "\n";
   if (audited.has_value()) {
-    std::cout << "scale smoke OK: audit clean and sparse == dense bitwise at M = "
+    std::cout << "scale smoke OK: audit clean and sparse == hint-less bitwise at M = "
               << scenario.config->num_accounts() << "\n";
   } else {
     std::cout << "scale smoke OK (audit off: sparse leg only)\n";

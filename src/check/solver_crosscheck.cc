@@ -30,7 +30,13 @@ std::vector<InvariantViolation> crosscheck_solution(
     const PerSlotProblem& problem, const std::vector<double>& u,
     const std::string& solver_name, const SolverCrosscheckOptions& options) {
   constexpr std::size_t kNone = InvariantViolation::kNoIndex;
-  const std::size_t J = problem.config().num_job_types();
+  // Variables are (DC, live column) pairs; violations report the job type
+  // the column stands for.
+  const std::size_t A = problem.num_types_effective();
+  const auto dc_of = [A](std::size_t v) { return v / A; };
+  const auto type_of = [&problem, A](std::size_t v) {
+    return static_cast<std::size_t>(problem.active_type_ids()[v % A]);
+  };
   std::vector<InvariantViolation> violations;
 
   if (u.size() != problem.num_vars()) {
@@ -42,7 +48,7 @@ std::vector<InvariantViolation> crosscheck_solution(
   }
   for (std::size_t v = 0; v < u.size(); ++v) {
     if (!std::isfinite(u[v])) {
-      violations.push_back(make_violation(InvariantKind::kNonFinite, v / J, v % J,
+      violations.push_back(make_violation(InvariantKind::kNonFinite, dc_of(v), type_of(v),
                                           u[v], 0.0,
                                           solver_name + ": NaN/Inf in solution"));
       return violations;
@@ -54,7 +60,7 @@ std::vector<InvariantViolation> crosscheck_solution(
     for (std::size_t v = 0; v < u.size(); ++v) {
       if (u[v] < -options.feasibility_tol || u[v] > ub[v] + options.feasibility_tol) {
         violations.push_back(make_violation(
-            InvariantKind::kCapacityChain, v / J, v % J, u[v], ub[v],
+            InvariantKind::kCapacityChain, dc_of(v), type_of(v), u[v], ub[v],
             solver_name + ": variable outside its [0, ub] box"));
       }
     }
@@ -74,16 +80,16 @@ std::vector<InvariantViolation> crosscheck_solution(
   std::vector<double> grid_ub = problem.polytope().upper_bounds();
   for (std::size_t i = 0; i < N; ++i) {
     const double cap = problem.curve(i).capacity();
-    for (std::size_t j = 0; j < J; ++j) {
-      const std::size_t v = problem.index(i, j);
+    for (std::size_t a = 0; a < A; ++a) {
+      const std::size_t v = problem.index(i, a);
       grid_ub[v] = std::min(grid_ub[v], cap);
     }
   }
   CappedBoxPolytope grid(std::move(grid_ub));
   for (std::size_t i = 0; i < N; ++i) {
     std::vector<std::size_t> members;
-    members.reserve(J);
-    for (std::size_t j = 0; j < J; ++j) members.push_back(problem.index(i, j));
+    members.reserve(A);
+    for (std::size_t a = 0; a < A; ++a) members.push_back(problem.index(i, a));
     grid.add_group(std::move(members), problem.curve(i).capacity());
   }
   const auto brute = minimize_brute_force(

@@ -37,9 +37,7 @@ GreFarScheduler::GreFarScheduler(std::shared_ptr<const ClusterConfig> config,
                      (solver_ == PerSlotSolver::kGreedy || solver_ == PerSlotSolver::kLp)),
                    "greedy/lp per-slot solvers ignore the fairness term; "
                    "use Frank-Wolfe or PGD when beta > 0");
-  if (params_.intra_slot_jobs > 1) {
-    intra_exec_ = std::make_unique<IntraSlotExecutor>(params_.intra_slot_jobs);
-  }
+  for (const JobType& jt : config_->job_types) eligible_pairs_ += jt.eligible_dcs.size();
 }
 
 void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver,
@@ -50,22 +48,18 @@ void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver
                      (solver == PerSlotSolver::kGreedy || solver == PerSlotSolver::kLp)),
                    "greedy/lp per-slot solvers ignore the fairness term; "
                    "use Frank-Wolfe or PGD when beta > 0");
-  if (params.intra_slot_jobs != params_.intra_slot_jobs) {
-    intra_exec_ = params.intra_slot_jobs > 1
-                      ? std::make_unique<IntraSlotExecutor>(params.intra_slot_jobs)
-                      : nullptr;
-  }
   params_ = params;
   solver_ = solver;
   if (problem_.has_value()) problem_->rebind_params(params_);
 
-  // Cross-slot sparse-action bookkeeping covered a matrix from the previous
+  // The live-column bookkeeping covered an action matrix from the previous
   // leg; the next decide must start from the unknown-invariant (full-clear)
-  // state a fresh scheduler would.
-  sparse_route_data_ = nullptr;
-  sparse_proc_data_ = nullptr;
-  routed_obs_sparse_valid_ = false;
-  prev_active_.clear();
+  // state a fresh scheduler would. The scheduler-owned routed queues are
+  // re-zeroed here, so prev_live_ can start empty.
+  cleared_route_data_ = nullptr;
+  cleared_proc_data_ = nullptr;
+  routed_obs_.dc_queue.fill(0.0);
+  prev_live_.clear();
 
   if (keep_warm) {
     if (solver_scratch_.prev_valid || solver_scratch_.lp_basis_valid) {
@@ -85,7 +79,6 @@ void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver
     // deterministic.
     for (auto& key : solver_scratch_.cached_qv) key.clear();
     for (auto& key : solver_scratch_.cached_avail) key.clear();
-    solver_scratch_.cache_compact = false;
     solver_scratch_.cache_types.clear();
   }
 }
@@ -113,23 +106,12 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   GREFAR_CHECK(obs.central_queue.size() == J);
   GREFAR_CHECK(obs.dc_queue.rows() == N && obs.dc_queue.cols() == J);
 
-  // Sparse per-slot regime (DESIGN.md §12): with the active-type hint, any
-  // job type not listed has Q_j == 0 and q_{i,j} == 0 everywhere, so it can
-  // neither route (no queued jobs, and q < Q is impossible at Q == 0) nor
-  // process (nothing to serve). Every O(N*J) sweep below then runs over the
-  // A active columns only. Traced decides stay dense: the drift-weight
-  // census and tie-split annotations are defined over all J types. The
-  // queue clamp is required: without it the literal mode permits "null
-  // work" (h > 0 on an empty queue), so inactive columns can carry
-  // non-zero process entries and the sparse clearing invariant would break.
-  const bool hint =
-      obs.active_types_valid && scope == nullptr && params_.clamp_to_queue;
-  // The compact problem additionally needs a solver that never reads
-  // full-space accessors (greedy and PGD work off view() + polytope; FW's
-  // LMO and the LP builder do not).
-  const bool compact_problem =
-      hint && (solver_ == PerSlotSolver::kGreedy ||
-               solver_ == PerSlotSolver::kProjectedGradient);
+  // Live columns (DESIGN.md §12): a job type outside live_ has Q_j == 0 and
+  // q_{i,j} == 0 everywhere, so it can neither route (no queued jobs, and
+  // q < Q is impossible at Q == 0) nor process (nothing to serve). Every
+  // O(N*J) sweep below runs over the live columns only; without the hint
+  // they are all J types.
+  live_type_ids(obs, params_, J, live_);
 
   const bool shapes_ok = action.route.rows() == N && action.route.cols() == J;
   if (!shapes_ok) {
@@ -139,9 +121,9 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   double* route_data = action.route.data().data();
   double* proc_data = action.process.data().data();
   if (shapes_ok) {
-    if (hint && sparse_route_data_ == route_data && sparse_proc_data_ == proc_data) {
+    if (cleared_route_data_ == route_data && cleared_proc_data_ == proc_data) {
       // Only columns written last slot can be non-zero; clear exactly those.
-      for (std::uint32_t j : prev_active_) {
+      for (std::uint32_t j : prev_live_) {
         for (std::size_t i = 0; i < N; ++i) {
           route_data[i * J + j] = 0.0;
           proc_data[i * J + j] = 0.0;
@@ -152,8 +134,8 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
       action.process.fill(0.0);
     }
   }
-  sparse_route_data_ = hint ? route_data : nullptr;
-  sparse_proc_data_ = hint ? proc_data : nullptr;
+  cleared_route_data_ = route_data;
+  cleared_proc_data_ = proc_data;
 
   // Per-DC total capacity sum_k n_{i,k} s_k for this slot, computed once up
   // front (the routing tie-break below used to recompute it per tie group
@@ -171,13 +153,14 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
   }
 
   // -- Routing: minimize sum (q_{i,j} - Q_j) r_{i,j} ------------------------
-  const std::size_t route_sweep = hint ? obs.active_types.size() : J;
-  for (std::size_t jj = 0; jj < route_sweep; ++jj) {
-    const std::size_t j = hint ? obs.active_types[jj] : jj;
+  std::size_t live_pairs = 0;
+  for (const std::uint32_t j : live_) {
     const double Q = obs.central_queue[j];
     std::vector<std::size_t>& beneficial = beneficial_;
     beneficial.clear();
-    for (DataCenterId i : config_->job_types[j].eligible_dcs) {
+    const std::vector<DataCenterId>& eligible = config_->job_types[j].eligible_dcs;
+    live_pairs += eligible.size();
+    for (DataCenterId i : eligible) {
       const bool negative_weight = dcq[i * J + j] < Q;
       if (scope != nullptr) {
         if (negative_weight) {
@@ -239,6 +222,11 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
       for (std::size_t i : beneficial) action.route(i, j) = params_.r_max;
     }
   }
+  if (scope != nullptr) {
+    // The census covers every eligible (i, j) pair. A type off the live list
+    // has q == Q == 0, so each of its pairs is nonnegative.
+    scope->drift_weights_nonnegative += eligible_pairs_ - live_pairs;
+  }
 
   // -- Processing: solve the convex program of eq. (14) ---------------------
   // Routing executes before service within a slot, so the processing
@@ -252,89 +240,52 @@ void GreFarScheduler::decide_into(const SlotObservation& obs, SlotAction& action
     routed_obs_.slot = obs.slot;
     routed_obs_.prices = obs.prices;
     routed_obs_.availability = obs.availability;
-    const bool routed_shape_ok =
-        routed_obs_.dc_queue.rows() == N && routed_obs_.dc_queue.cols() == J;
-    if (!routed_shape_ok) routed_obs_.dc_queue = MatrixD(N, J);
+    if (routed_obs_.dc_queue.rows() != N || routed_obs_.dc_queue.cols() != J) {
+      routed_obs_.dc_queue = MatrixD(N, J);  // zero-initialized
+    }
+    // Incremental post-routing queues q + r: columns off the live list are
+    // 0 + 0 = 0, and the previous slot left non-zeros only in its own live
+    // columns. Zero those, then fill this slot's live columns.
     const double* route = action.route.data().data();
     double* routed_q = routed_obs_.dc_queue.data().data();
-    if (hint && routed_obs_sparse_valid_ && routed_shape_ok) {
-      // Incremental update: inactive columns are q + r = 0 + 0 = 0, and the
-      // previous slot left non-zeros only in its own active columns. Zero
-      // those, then fill this slot's active columns.
-      for (std::uint32_t j : prev_active_) {
-        for (std::size_t i = 0; i < N; ++i) routed_q[i * J + j] = 0.0;
-      }
-      for (std::uint32_t j : obs.active_types) {
-        for (std::size_t i = 0; i < N; ++i) {
-          routed_q[i * J + j] = dcq[i * J + j] + route[i * J + j];
-        }
-      }
-    } else {
-      // Post-routing queues in one fused flat pass (the copy-then-add over
-      // checked accessors this replaces was a visible slice of the per-slot
-      // cost at 100+ DCs).
-      for (std::size_t idx = 0; idx < N * J; ++idx) routed_q[idx] = dcq[idx] + route[idx];
+    for (std::uint32_t j : prev_live_) {
+      for (std::size_t i = 0; i < N; ++i) routed_q[i * J + j] = 0.0;
     }
-    routed_obs_sparse_valid_ = hint;
-    if (!hint) {
-      // The per-slot problem never reads the central queue, so the sparse
-      // path skips this O(J) copy (at J = 10^6 it is pure overhead).
-      routed_obs_.central_queue = obs.central_queue;
+    for (std::uint32_t j : live_) {
+      for (std::size_t i = 0; i < N; ++i) {
+        routed_q[i * J + j] = dcq[i * J + j] + route[i * J + j];
+      }
     }
     // Routing only ever adds jobs to types with Q_j > 0, which are active
-    // already, so the hint stays valid for the post-routing queues.
+    // already, so the hint stays valid for the post-routing queues. The
+    // per-slot problem never reads the central queue, so it is not copied.
     routed_obs_.active_types_valid = obs.active_types_valid;
     if (obs.active_types_valid) routed_obs_.active_types = obs.active_types;
     problem_obs = &routed_obs_;
   }
-  if (problem_.has_value()) {
-    problem_->set_sparse_enabled(compact_problem);
-    problem_->reset(*problem_obs);
-  } else {
-    // Deferred construction: attach the executor and sparse mode first so
-    // slot 0 runs (and counts) exactly one reset on the same path as every
-    // later slot — a freshly built scheduler must be indistinguishable,
-    // counters included, from a reused one.
-    problem_.emplace(*config_, params_);
-    problem_->set_intra_slot_executor(intra_exec_.get());
-    problem_->set_sparse_enabled(compact_problem);
-    problem_->reset(*problem_obs);
-  }
+  // Deferred construction: slot 0 runs (and counts) exactly one reset on
+  // the same path as every later slot — a freshly built scheduler must be
+  // indistinguishable, counters included, from a reused one.
+  if (!problem_.has_value()) problem_.emplace(*config_, params_);
+  problem_->reset(*problem_obs);
   solve_per_slot_into(*problem_, solver_, u_, &solver_scratch_);
+
+  // Scatter the A solved columns back to full coordinates (everything else
+  // is already zero by the clearing invariant above).
   const PerSlotView v = problem_->view();
   double* proc = action.process.data().data();
   const double h_max = params_.h_max;
-  if (problem_->compact()) {
-    // Compact solve: scatter the A active columns back to full coordinates
-    // (everything else is already zero by the clearing invariant above).
-    // Mode-checked via compact(), not v.type_ids: an idle slot's empty
-    // active list has a null data() pointer but is still compact.
-    const std::size_t A = v.num_types;
-    for (std::size_t i = 0; i < N; ++i) {
-      const double* u_row = u_.data() + i * A;
-      double* proc_row = proc + i * J;
-      for (std::size_t a = 0; a < A; ++a) {
-        // Keep the division by d_j (not a reciprocal multiply): the engine
-        // and auditor recompute h * d_j and expect the exact same values.
-        proc_row[v.type_ids[a]] = std::min(u_row[a] / v.work[a], h_max);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < N; ++i) {
-      const double* u_row = u_.data() + i * J;
-      double* proc_row = proc + i * J;
-      for (std::size_t j = 0; j < J; ++j) {
-        // Keep the division by d_j (not a reciprocal multiply): the engine and
-        // auditor recompute h * d_j and expect the exact same values.
-        proc_row[j] = std::min(u_row[j] / v.work[j], h_max);
-      }
+  const std::size_t A = v.num_types;
+  for (std::size_t i = 0; i < N; ++i) {
+    const double* u_row = u_.data() + i * A;
+    double* proc_row = proc + i * J;
+    for (std::size_t a = 0; a < A; ++a) {
+      // Keep the division by d_j (not a reciprocal multiply): the engine
+      // and auditor recompute h * d_j and expect the exact same values.
+      proc_row[v.type_ids[a]] = std::min(u_row[a] / v.work[a], h_max);
     }
   }
-  if (hint) {
-    prev_active_.assign(obs.active_types.begin(), obs.active_types.end());
-  } else {
-    prev_active_.clear();
-  }
+  prev_live_.swap(live_);
 }
 
 double GreFarScheduler::split_tie_group(std::size_t j, double jobs,

@@ -85,12 +85,6 @@ class GreFarScheduler final : public Scheduler {
   GreFarParams params_;
   PerSlotSolver solver_;
 
-  // Worker pool for intra-slot DC sharding (params_.intra_slot_jobs > 1);
-  // null when the scheduler runs fully serial. Owned here so the pool
-  // persists across slots — the sharded kernels run thousands of times per
-  // second and cannot afford per-slot thread spawns.
-  std::unique_ptr<IntraSlotExecutor> intra_exec_;
-
   // Per-slot scratch, constructed lazily on the first decide and reused
   // thereafter. A scheduler instance is single-threaded (one simulation).
   std::optional<PerSlotProblem> problem_;
@@ -98,18 +92,19 @@ class GreFarScheduler final : public Scheduler {
   SlotObservation routed_obs_;           // obs with routing applied to dc_queue
   std::vector<double> u_;                // per-slot solver result (work units)
 
-  // Sparse per-slot bookkeeping (DESIGN.md §12). When the observation
-  // carries the active-type hint, the O(N*J) per-slot fills (action
-  // clearing, routing sweep, routed-queue rebuild) shrink to O(N*A): only
-  // columns in prev_active_ can hold non-zeros from the previous slot, so
-  // clearing those restores the all-zero invariant. The cached data
-  // pointers detect a swapped/reallocated action matrix (then the invariant
-  // is unknown and a full clear runs), and any dense slot in between —
-  // a traced decide, a hint-less caller — resets the state likewise.
-  std::vector<std::uint32_t> prev_active_;      // columns written last slot
-  const double* sparse_route_data_ = nullptr;   // matrices the invariant
-  const double* sparse_proc_data_ = nullptr;    //   currently covers
-  bool routed_obs_sparse_valid_ = false;        // routed_obs_ zero-invariant
+  // Live-column bookkeeping (DESIGN.md §12). Every per-slot sweep —
+  // routing, the routed-queue rebuild, the action scatter — runs over the
+  // live type list only (see live_type_ids), so with the active-type hint
+  // the O(N*J) fills shrink to O(N*A). Only columns in prev_live_ can hold
+  // non-zeros from the previous slot, in the action matrices and in
+  // routed_obs_.dc_queue alike, so clearing those restores the all-zero
+  // invariant. The cached data pointers detect a swapped/reallocated action
+  // matrix (then the invariant is unknown and a full clear runs).
+  std::vector<std::uint32_t> live_;             // this slot's live columns
+  std::vector<std::uint32_t> prev_live_;        // columns written last slot
+  const double* cleared_route_data_ = nullptr;  // matrices the invariant
+  const double* cleared_proc_data_ = nullptr;   //   currently covers
+  std::size_t eligible_pairs_ = 0;  // sum_j |D_j|, for the drift-weight census
   std::vector<double> dc_capacity_;      // sum_k n_{i,k} s_k, per DC per slot
   std::vector<std::size_t> beneficial_;  // routing candidates for one job type
   std::vector<std::size_t> tie_members_; // one tie group's capacity>0 members

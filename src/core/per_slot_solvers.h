@@ -42,17 +42,15 @@ std::string to_string(PerSlotSolver solver);
 ///     keyed on the DC's (queue-value, upper-bound) rows; a prices-only
 ///     slot leaves both untouched and reuses the sorted order outright.
 ///
-/// An instance is tied to one cluster config (server types + tariffs). It is
-/// single-threaded from the caller's side; with an intra-slot executor the
-/// greedy fill shards across DCs internally, which is why the fill working
-/// copies are per *shard* (each cache entry stays immutable during a fill).
+/// An instance is tied to one cluster config (server types + tariffs) and
+/// is single-threaded.
 struct PerSlotSolverScratch {
   struct Piece {
     double capacity;   // work units
     double base_cost;  // tariff_rate * energy_per_work (x V*phi at use site)
   };
   struct Demand {
-    std::size_t j;
+    std::size_t j;     // column index (into the live type list)
     double value;      // q_{i,j} / d_j
     double remaining;  // ub on work units
   };
@@ -61,30 +59,21 @@ struct PerSlotSolverScratch {
   std::vector<std::vector<Demand>> demand_cache;  // [dc] sorted desc by value
   std::vector<std::vector<double>> cached_qv;     // [dc] queue-value row key
   std::vector<std::vector<double>> cached_ub;     // [dc] upper-bound row key
-  /// Column-identity key for the demand caches: in compact mode column a of
-  /// the (qv, ub) rows stands for job type cache_types[a], so byte-equal
-  /// rows under a *different* active-type list must still miss. A mode or
-  /// type-list change clears every per-DC key.
-  bool cache_compact = false;
+  /// Column-identity key for the demand caches: column a of the (qv, ub)
+  /// rows stands for job type cache_types[a], so byte-equal rows under a
+  /// *different* live-type list must still miss. A list change clears
+  /// every per-DC key.
   std::vector<std::uint32_t> cache_types;
-  std::vector<std::vector<Demand>> fill_demands;  // [shard] fill working copy
-  /// Per-shard staging slots for the cache-hit counters: pool workers have
-  /// their own (usually inactive) thread-local registries, so the sharded
-  /// fill records here and the calling thread flushes the totals once per
-  /// solve — counter values stay identical at any intra_slot_jobs.
-  std::vector<std::uint64_t> count_stage;
+  std::vector<Demand> demands;  // fill working copy of one DC's cache entry
   std::vector<double> warm;                             // FW/PGD warm start
   /// Previous slot's FW/PGD solution; with params.warm_start_across_slots
-  /// the next solve starts here (clamped onto the current bound box and, in
-  /// compact mode, remapped across active-type lists) instead of re-running
-  /// the greedy. prev_valid flags that a solution was saved at all — an
-  /// empty prev with prev_valid set is a real zero-variable compact
-  /// solution (idle slot), not "no history". prev_compact / prev_types
-  /// record the coordinate system the solution was saved under (dense
-  /// full-space when prev_compact is false).
+  /// the next solve starts here (clamped onto the current bound box and
+  /// remapped across live-type lists) instead of re-running the greedy.
+  /// prev_valid flags that a solution was saved at all — an empty prev with
+  /// prev_valid set is a real zero-variable solution (idle slot), not "no
+  /// history". prev_types records the live-type list it was saved under.
   std::vector<double> prev;
   bool prev_valid = false;
-  bool prev_compact = false;
   std::vector<std::uint32_t> prev_types;
   std::vector<std::uint32_t> warm_map;  // remap scratch (active -> prev col)
   /// Opt-in simplex warm starts for the kLp path (cross-slot / cross-leg

@@ -1,22 +1,25 @@
 // PerSlotView: flat structure-of-arrays snapshot of the per-slot problem.
 //
-// The AoS-ish accessors on PerSlotProblem (`queue_value(i, j)`,
-// `config().job_types[j].eligible(i)`, `polytope().upper_bounds()[idx]`)
-// are fine at paper scale, but at 100+ DCs x 64+ job types the per-(i,j)
-// call overhead — and especially JobType::eligible()'s linear scan over
-// D_j — turns the per-slot rebuild into an O(N^2 J) wall. This view exposes
-// every array the hot kernels iterate as a contiguous pointer so solver
-// loops are branch-light, stride-1 and autovectorizable.
+// AoS-ish access (`config().job_types[j].eligible(i)`,
+// `polytope().upper_bounds()[idx]`) is fine at paper scale, but at 100+
+// DCs x 64+ job types the per-(i,j) call overhead — and especially
+// JobType::eligible()'s linear scan over D_j — turns the per-slot rebuild
+// into an O(N^2 J) wall. This view exposes every array the hot kernels
+// iterate as a contiguous pointer so solver loops are branch-light,
+// stride-1 and autovectorizable.
 //
-// Layout. All (i, j) arrays are row-major N x J flattened as i * J + j —
-// the same `index()` the problem uses everywhere. Per-job-type arrays have
-// length J, per-server-type arrays length K, per-DC arrays length N.
+// Layout. The problem is defined over A live type columns (DESIGN.md §12;
+// A == J when the observation carries no active-type hint). All (i, a)
+// arrays are row-major N x A flattened as i * A + a — the same `index()`
+// the problem uses everywhere. Per-type arrays have length A (the live
+// columns gathered out of the full per-type data), per-server-type arrays
+// length K, per-DC arrays length N.
 //
 // Lifetime. A view is a *borrow*: pointers alias PerSlotProblem internals
 // (and the SlotObservation it currently targets) and are invalidated by the
 // next reset(). Take the view after reset, use it within the slot, drop it.
-// Static arrays (eligibility, work, accounts, server constants) additionally
-// never change between resets of the same problem.
+// The server-constant arrays additionally never change between resets of
+// the same problem.
 #pragma once
 
 #include <cstddef>
@@ -26,24 +29,18 @@ namespace grefar {
 
 struct PerSlotView {
   std::size_t num_dcs = 0;       // N
-  std::size_t num_types = 0;     // J (or A in compact mode, see type_ids)
+  std::size_t num_types = 0;     // A live type columns
   std::size_t num_servers = 0;   // K
   std::size_t num_accounts = 0;  // M
 
-  /// Compact (active-type) column map — DESIGN.md §12. Null for a dense
-  /// problem. In compact mode the problem is defined over num_types = A
-  /// active columns and type_ids[a] is the job type column a stands for;
-  /// every per-type array below is the gathered length-A version and (i, a)
-  /// arrays are row-major N x A. Do NOT use nullness as the mode test: an
-  /// idle compact slot has A == 0 and a null pointer — branch on
-  /// PerSlotProblem::compact() instead and only index type_ids under a < A.
+  /// Column map: type_ids[a] is the job type column a stands for. Null
+  /// when A == 0 (an idle slot), so only index it under a < num_types.
   const std::uint32_t* type_ids = nullptr;
 
+  // Per-column array (gathered by reset(); valid until the next reset).
+  const double* work = nullptr;             // [A] d_j
+
   // Static per-cluster arrays (built once per problem, never invalidated).
-  const std::uint8_t* eligible = nullptr;   // [N*J] 1 iff i in D_j
-  const double* work = nullptr;             // [J] d_j
-  const double* inv_work = nullptr;         // [J] 1 / d_j
-  const std::uint32_t* account_of = nullptr;  // [J] rho_j
   const double* speed = nullptr;            // [K] s_k
   const double* busy_power = nullptr;       // [K] p_k
   const double* energy_per_work = nullptr;  // [K] p_k / s_k
@@ -51,8 +48,8 @@ struct PerSlotView {
   // Per-slot arrays (rebuilt by reset(); valid until the next reset).
   const double* prices = nullptr;           // [N] phi_i(t)
   const std::int64_t* availability = nullptr;  // [N*K] n_{i,k}(t), row-major
-  const double* queue_value = nullptr;      // [N*J] q_{i,j}/d_j (0 if ineligible)
-  const double* upper_bounds = nullptr;     // [N*J] work ub per (i,j)
+  const double* queue_value = nullptr;      // [N*A] q_{i,j}/d_j (0 if ineligible)
+  const double* upper_bounds = nullptr;     // [N*A] work ub per (i,j)
   const double* dc_capacity = nullptr;      // [N] sum_k n_{i,k} s_k
 };
 

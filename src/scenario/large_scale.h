@@ -86,7 +86,7 @@ struct LargeScaleScenario {
 LargeScaleScenario make_large_scale_scenario(const LargeScaleOptions& options = {});
 
 /// GreFar parameters sized for the scenario (clamped queues — required for
-/// the sparse per-slot regime — and intra-slot sharding left to the caller).
+/// the sparse per-slot regime).
 GreFarParams large_scale_grefar_params(double V, double beta);
 
 }  // namespace grefar

@@ -150,7 +150,13 @@ std::vector<Account> AccountTree::accounts_at_level(std::size_t level) const {
   std::vector<double> gamma = gamma_at_level(level);
   std::vector<Account> accounts(gamma.size());
   for (std::size_t i = 0; i < gamma.size(); ++i) {
-    accounts[i].name = "L" + std::to_string(level) + ":" + std::to_string(i);
+    // Appended piecewise: GCC 12 reports a -Wrestrict false positive on
+    // the inlined "L" + std::string concatenation.
+    std::string name(1, 'L');
+    name += std::to_string(level);
+    name += ':';
+    name += std::to_string(i);
+    accounts[i].name = std::move(name);
     accounts[i].gamma = gamma[i];
   }
   return accounts;

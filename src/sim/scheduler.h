@@ -32,7 +32,7 @@ struct SlotObservation {
   /// Schedulers may use the hint to touch only active columns; the engine
   /// maintains it from its queues, and a producer that sets the flag owns
   /// the guarantee. An invalid flag (default) means "no information" and
-  /// must trigger dense behavior, not "no active types".
+  /// must make a scheduler treat every type as active, not none.
   bool active_types_valid = false;
   std::vector<std::uint32_t> active_types;
 };

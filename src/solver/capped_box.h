@@ -25,9 +25,10 @@ class CappedBoxPolytope {
   void add_group(std::vector<std::size_t> indices, double cap);
 
   /// In-place re-shape for callers whose dimension changes per slot (the
-  /// compact active-type problem): the polytope becomes `n_groups`
-  /// contiguous groups of `group_size` variables each (group g owning
-  /// [g*group_size, (g+1)*group_size)), with every bound and cap reset to 0.
+  /// per-slot problem over its live type columns): the polytope becomes
+  /// `n_groups` contiguous groups of `group_size` variables each (group g
+  /// owning [g*group_size, (g+1)*group_size)), with every bound and cap
+  /// reset to 0.
   /// The caller then rewrites bounds via mutable_upper_bounds() and caps via
   /// set_group_cap(). Reuses all internal storage; no allocation once the
   /// high-water dimension has been reached.

@@ -30,9 +30,12 @@ namespace sweep {
 /// One sweep dimension. `values` and/or `labels` name the points; they must
 /// agree on the count when both are given.
 struct SweepAxis {
-  std::string name;
-  std::vector<double> values;
-  std::vector<std::string> labels;
+  // Default member initializers let an axis name only the fields it uses in
+  // a designated initializer ({.name = ..., .values = ...}) without a
+  // -Wmissing-field-initializers warning.
+  std::string name{};
+  std::vector<double> values{};
+  std::vector<std::string> labels{};
 
   std::size_t size() const;
 };

@@ -91,9 +91,11 @@ Status write_job_trace_streaming(const ArrivalProcess& process,
     }
     // Pin the trace's span to [0, horizon) even when the last slot is idle.
     if (t == horizon - 1 && !wrote_any) {
+      // to_string, not a "0" literal: GCC 12 reports a -Wrestrict false
+      // positive on literal assignment into the reused row strings.
       row[0] = std::to_string(t);
-      row[1] = "0";
-      row[2] = "0";
+      row[1] = std::to_string(0);
+      row[2] = std::to_string(0);
       writer.write_row(row);
     }
   }

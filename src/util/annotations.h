@@ -9,8 +9,8 @@
 //     the runtime alloc_regression_test is the dynamic half of this
 //     contract; the grefar-hot-path-alloc check is the static half).
 //   * GREFAR_DETERMINISTIC — the function participates in a bit-identical
-//     reproducibility contract (DESIGN.md §11: decisions identical at any
-//     --jobs / intra_slot_jobs; §12: sparse == dense bitwise). It must not
+//     reproducibility contract (DESIGN.md §6: results identical at any
+//     --jobs; §12: hinted == identity-list per-slot solves bitwise). It must not
 //     read clocks, entropy, thread ids, or accumulate floating-point state
 //     in unordered-container iteration order.
 //

@@ -84,6 +84,36 @@ TEST(SolverCrosscheck, FirstOrderSolversPassWithinConvergenceTolerance) {
   }
 }
 
+TEST(SolverCrosscheck, HintedProblemMapsColumnsToJobTypes) {
+  // With the active-type hint the problem has A < J columns: the crosscheck
+  // must stride by A and report the job type a column stands for.
+  auto config = small_config();
+  config.job_types.push_back({"j2", 1.5, {0, 1}, 1});
+  Rng rng(11);
+  auto obs = random_obs(config, rng);
+  for (std::size_t i = 0; i < config.num_data_centers(); ++i) obs.dc_queue(i, 1) = 0.0;
+  obs.active_types = {0, 2};
+  obs.active_types_valid = true;
+  PerSlotProblem problem(config, obs, params(1.0, 0.0));
+  ASSERT_EQ(problem.num_types_effective(), 2u);
+  for (PerSlotSolver solver : {PerSlotSolver::kGreedy, PerSlotSolver::kLp}) {
+    SolverCrosscheckOptions options;
+    options.points_per_dim = 5;
+    options.objective_tol = 1e-4;
+    auto violations = crosscheck_per_slot_solver(problem, solver, options);
+    EXPECT_TRUE(violations.empty()) << to_string(solver) << ": "
+                                    << violations[0].to_string();
+  }
+
+  std::vector<double> outside(problem.num_vars(), 0.0);
+  outside[problem.index(1, 1)] = 1e9;  // DC 1, column 1 = job type 2
+  auto violations = crosscheck_solution(problem, outside, "broken-box");
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].kind, InvariantKind::kCapacityChain);
+  EXPECT_EQ(violations[0].dc, 1u);
+  EXPECT_EQ(violations[0].job_type, 2u);
+}
+
 TEST(SolverCrosscheck, BrokenSolverIsCaughtWithDescriptiveRecord) {
   // A "solver" that refuses to process anything: with queued work and cheap
   // energy, the true optimum is negative, so doing nothing is suboptimal.

@@ -67,10 +67,11 @@ TEST(PerSlotProblem, QueueValuesArePerWorkUnit) {
   auto config = test_config();
   auto obs = test_obs(config);
   PerSlotProblem problem(config, obs, params(1.0, 0.0));
-  EXPECT_DOUBLE_EQ(problem.queue_value(0, 0), 2.0);       // q/d = 2/1
-  EXPECT_DOUBLE_EQ(problem.queue_value(0, 1), 2.0);       // 4/2
-  EXPECT_DOUBLE_EQ(problem.queue_value(1, 0), 6.0);
-  EXPECT_DOUBLE_EQ(problem.queue_value(1, 1), 0.0);       // ineligible
+  const double* qv = problem.view().queue_value;  // no hint: all J columns
+  EXPECT_DOUBLE_EQ(qv[problem.index(0, 0)], 2.0);       // q/d = 2/1
+  EXPECT_DOUBLE_EQ(qv[problem.index(0, 1)], 2.0);       // 4/2
+  EXPECT_DOUBLE_EQ(qv[problem.index(1, 0)], 6.0);
+  EXPECT_DOUBLE_EQ(qv[problem.index(1, 1)], 0.0);       // ineligible
 }
 
 TEST(PerSlotProblem, ClampedUpperBoundsTrackQueues) {

@@ -306,15 +306,13 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   auto config = test_config();
   Rng rng(31);
   GreFarParams p = params(0.0, 0.0);  // V = 0: route everything queued
-  p.clamp_to_queue = true;            // compact resets need the clamp
+  p.clamp_to_queue = true;            // the hint needs the clamp
 
   SlotObservation busy = random_obs(config, rng);
   busy.active_types_valid = true;
   busy.active_types = {0, 1};
   PerSlotProblem problem(config, busy, p);
-  problem.set_sparse_enabled(true);
-  problem.reset(busy);
-  ASSERT_TRUE(problem.compact());
+  ASSERT_EQ(problem.num_types_effective(), 2u);
 
   PerSlotSolverScratch scratch;
   std::vector<double> primed;
@@ -328,7 +326,6 @@ TEST(GreedySolver, IdleCompactSlotServesNoStaleDemands) {
   idle.central_queue.assign(config.num_job_types(), 0.0);
   idle.active_types.clear();
   problem.reset(idle);
-  ASSERT_TRUE(problem.compact());
   ASSERT_EQ(problem.num_vars(), 0u);
 
   std::vector<double> u;  // no capacity — the crashing shape

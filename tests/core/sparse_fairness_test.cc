@@ -1,17 +1,22 @@
-// DESIGN.md §12: the compact (active-type) per-slot solve must be *bitwise*
-// identical to the dense solve — same route and process matrices, down to
-// the last ulp — across multi-slot runs with churning active sets, for both
-// the exact greedy (beta = 0) and PGD (beta > 0, warm starts across slots
-// remapping between coordinate systems). Two scheduler instances see the
-// identical observation stream; one gets the active-type hint, the other
-// does not.
+// DESIGN.md §12: the per-slot solve over the active-type hint must be
+// *bitwise* identical to the solve over all J types (the identity list the
+// problem uses without a hint) — same route and process matrices, down to
+// the last ulp — across multi-slot runs with churning active sets, for the
+// exact greedy (beta = 0), PGD and Frank-Wolfe (beta > 0, warm starts
+// across slots remapping between type lists). Traced decides must also
+// report the same drift-weight census and tie splits. The LP may return a
+// different tied optimal vertex once dead columns are gone, so for it only
+// the objective must match. Two scheduler instances see the identical
+// observation stream; one gets the active-type hint, the other does not.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "core/drift_penalty.h"
 #include "core/grefar.h"
 #include "obs/counters.h"
+#include "obs/trace_scope.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -102,8 +107,47 @@ void expect_actions_bitwise_equal(const SlotAction& sparse, const SlotAction& de
   }
 }
 
+void expect_traces_equal(const TraceScope& sparse, const TraceScope& dense,
+                         std::int64_t slot) {
+  EXPECT_EQ(sparse.drift_weights_negative, dense.drift_weights_negative)
+      << "slot " << slot;
+  EXPECT_EQ(sparse.drift_weights_nonnegative, dense.drift_weights_nonnegative)
+      << "slot " << slot;
+  ASSERT_EQ(sparse.tie_splits.size(), dense.tie_splits.size()) << "slot " << slot;
+  for (std::size_t k = 0; k < sparse.tie_splits.size(); ++k) {
+    const TraceScope::TieSplit& a = sparse.tie_splits[k];
+    const TraceScope::TieSplit& b = dense.tie_splits[k];
+    EXPECT_EQ(a.job_type, b.job_type) << "slot " << slot << " split " << k;
+    EXPECT_EQ(a.group_size, b.group_size) << "slot " << slot << " split " << k;
+    EXPECT_EQ(a.jobs, b.jobs) << "slot " << slot << " split " << k;
+    EXPECT_EQ(a.zero_capacity_skipped, b.zero_capacity_skipped)
+        << "slot " << slot << " split " << k;
+  }
+}
+
+/// Per-slot objective of an action's processing decision, evaluated on the
+/// post-routing queues over all J types.
+double processing_objective(const ClusterConfig& config, const GreFarParams& params,
+                            const SlotObservation& obs, const SlotAction& action) {
+  SlotObservation routed = obs;
+  routed.active_types_valid = false;
+  for (std::size_t k = 0; k < routed.dc_queue.data().size(); ++k) {
+    routed.dc_queue.data()[k] += action.route.data()[k];
+  }
+  PerSlotProblem problem(config, routed, params);
+  std::vector<double> u(problem.num_vars());
+  for (std::size_t i = 0; i < config.num_data_centers(); ++i) {
+    for (std::size_t j = 0; j < config.num_job_types(); ++j) {
+      u[problem.index(i, j)] = action.process(i, j) * config.job_types[j].work;
+    }
+  }
+  return problem.value(u);
+}
+
+enum class Compare { kBitwise, kObjective };
+
 void run_sparse_vs_dense(GreFarParams params, PerSlotSolver solver,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, Compare compare = Compare::kBitwise) {
   Rng rng(seed);
   ClusterConfig config = random_config(rng, 3, 48, 12);
   GreFarScheduler with_hint(config, params, solver);
@@ -112,24 +156,45 @@ void run_sparse_vs_dense(GreFarParams params, PerSlotSolver solver,
   obs::CounterRegistry counters;
   SlotAction a_sparse;
   SlotAction a_dense;
+  std::size_t traced_splits = 0;
   for (std::int64_t t = 0; t < 60; ++t) {
     // Churn the density: sparse slots, dense slots, idle slots.
     double p_active = 0.15;
     if (t % 7 == 3) p_active = 0.9;
     if (t % 11 == 5) p_active = 0.0;
     SlotObservation obs = random_obs(rng, config, t, p_active);
+    // Every other slot is traced, so both decide paths see churn.
+    const bool traced = t % 2 == 0;
+    TraceScope scope_sparse;
+    TraceScope scope_dense;
     {
       obs::CountersScope scope(&counters);
-      with_hint.decide_into(obs, a_sparse);
+      with_hint.decide_into(obs, a_sparse, traced ? &scope_sparse : nullptr);
     }
     SlotObservation dense_obs = obs;
     dense_obs.active_types_valid = false;  // same state, no hint
     dense_obs.active_types.clear();
-    without_hint.decide_into(dense_obs, a_dense);
-    expect_actions_bitwise_equal(a_sparse, a_dense, t);
+    without_hint.decide_into(dense_obs, a_dense, traced ? &scope_dense : nullptr);
+    if (traced) {
+      expect_traces_equal(scope_sparse, scope_dense, t);
+      traced_splits += scope_dense.tie_splits.size();
+    }
+    if (compare == Compare::kBitwise) {
+      expect_actions_bitwise_equal(a_sparse, a_dense, t);
+    } else {
+      // Routing is solver-independent and stays bitwise; processing is
+      // compared by objective, at the greedy-vs-LP tolerance.
+      EXPECT_EQ(a_sparse.route.data(), a_dense.route.data()) << "slot " << t;
+      const double sparse_value = processing_objective(config, params, obs, a_sparse);
+      const double dense_value = processing_objective(config, params, obs, a_dense);
+      EXPECT_NEAR(sparse_value, dense_value, 1e-6 * (1.0 + std::abs(dense_value)))
+          << "slot " << t;
+    }
   }
-  // The hinted scheduler must actually have taken the compact path.
+  // The hinted scheduler must actually have taken the compact path, and
+  // the traced slots must have exercised the tie-split annotations.
   EXPECT_GT(counters.counter("fairness.sparse_skips"), 0u);
+  EXPECT_GT(traced_splits, 0u);
 }
 
 TEST(SparseFairness, GreedyCompactMatchesDenseBitwise) {
@@ -149,6 +214,19 @@ TEST(SparseFairness, PgdColdStartCompactMatchesDenseBitwise) {
   p.beta = 1.5;
   p.warm_start_across_slots = false;  // greedy cold start every slot
   run_sparse_vs_dense(p, PerSlotSolver::kProjectedGradient, 0xC0FFEE);
+}
+
+TEST(SparseFairness, FrankWolfeCompactMatchesDenseBitwise) {
+  GreFarParams p;
+  p.V = 2.0;
+  p.beta = 0.5;
+  run_sparse_vs_dense(p, PerSlotSolver::kFrankWolfe, 0xF0F0);
+}
+
+TEST(SparseFairness, LpCompactMatchesDenseObjective) {
+  GreFarParams p;
+  p.V = 1.5;
+  run_sparse_vs_dense(p, PerSlotSolver::kLp, 0x1B, Compare::kObjective);
 }
 
 TEST(SparseFairness, DenseSlotsInterleavedStayBitwise) {

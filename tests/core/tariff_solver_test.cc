@@ -140,7 +140,8 @@ TEST(TariffGreedy, RandomInstancesBeatBruteForceGrid) {
         double work = 0.0;
         for (std::size_t j = 0; j < c.num_job_types(); ++j) {
           work += u[problem.index(i, j)];
-          total -= problem.queue_value(i, j) * u[problem.index(i, j)];
+          total -= problem.view().queue_value[problem.index(i, j)] *
+                   u[problem.index(i, j)];
         }
         total += problem.params().V * obs.prices[i] *
                  c.tariff(i).cost(problem.curve(i).energy_for_work(work));

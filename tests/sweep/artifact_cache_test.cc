@@ -85,7 +85,9 @@ TEST(ArtifactCacheTest, ValuedArrivalsKeepBatchAnnotations) {
       // NaN annotations must survive as NaN (bit-pattern compare via ==
       // would reject NaN == NaN, so compare through isnan on both sides).
       EXPECT_EQ(std::isnan(got[b].value), std::isnan(want.value));
-      if (!std::isnan(want.value)) EXPECT_EQ(got[b].value, want.value);
+      if (!std::isnan(want.value)) {
+        EXPECT_EQ(got[b].value, want.value);
+      }
       EXPECT_EQ(std::isnan(got[b].decay_rate), std::isnan(want.decay_rate));
       if (!std::isnan(want.decay_rate)) {
         EXPECT_EQ(got[b].decay_rate, want.decay_rate);

@@ -1,6 +1,7 @@
 // grefar-determinism: functions annotated GREFAR_DETERMINISTIC must be
-// bit-reproducible (DESIGN.md Sec. 11: identical decisions at any
-// intra_slot_jobs / --jobs value, and Sec. 12: sparse == dense bitwise).
+// bit-reproducible (DESIGN.md Sec. 6: identical results at any --jobs
+// value, and Sec. 12: the hinted per-slot solve equals the solve over all
+// job types bitwise).
 //
 // Flagged inside annotated functions:
 //   * randomness sources: rand/srand/random/drand48 family and
