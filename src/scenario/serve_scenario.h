@@ -1,8 +1,7 @@
 // An ingest-bound scenario for serve-mode benchmarking (bench/serve_latency)
 // and the service-loop tests: parameterized in data centers and job types so
 // CSV ingest work (O(active types) rows per slot) and solve work (O(N x J))
-// can be balanced against each other — the regime where pipelining ingest,
-// solve and flush actually overlaps useful work.
+// can be balanced against each other.
 #pragma once
 
 #include <cstdint>

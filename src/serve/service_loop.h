@@ -1,29 +1,26 @@
-// ServiceLoop: the long-lived serve mode — a three-stage pipeline that
-// ingests slot t+1 while the engine solves slot t while the flush
-// inspectors (TraceSink tracer, invariant auditor, ...) consume slot t-1.
+// ServiceLoop: the long-lived serve mode. One serial loop on the caller
+// thread, one slot at a time:
 //
-//   [ingest thread]  --input queue-->  [solve: caller thread]
-//        StreamingJobTraceSource            StagedTraceFeed + engine.step()
-//        StreamingPriceTraceSource              |
-//   [flush thread]  <--flush queue--        copied SlotRecord
-//        flush inspectors, in attach order
+//   ingest   StreamingJobTraceSource + StreamingPriceTraceSource -> SlotInput
+//   stage    StagedTraceFeed (the engine's price/arrival models for slot t)
+//   step     engine.step(), whose inspector hook runs the flush inspectors
+//            (TraceSink tracer, invariant auditor, ...) in registration
+//            order on the engine's own SlotRecord
 //
-// Stages are connected by bounded SPSC queues (serve/spsc_queue.h) with
-// blocking backpressure, and slot buffers are pooled and recycled through
-// the queues, so steady-state memory is O(queue_depth) regardless of trace
-// length and the hot loop allocates nothing once capacities are warm.
+// One SlotInput is reused for every slot, so the hot loop allocates nothing
+// once capacities are warm, and memory does not grow with trace length.
+// The flush inspectors run inside the step, so --profile times them under
+// the engine's `engine.inspect` phase. With no flush inspector registered
+// the engine takes its untraced path.
 //
-// Determinism: the engine only ever steps on the caller thread, in slot
-// order, on inputs that are pure functions of the trace bytes — the worker
-// threads move bytes and copies around but never touch engine state. So
-// decisions, energy and fairness series are bit-identical to a batch replay
-// of the materialized trace at any queue depth, pipelined or serial; the
-// flush queue is FIFO, so inspectors also observe slots in order. Counters
-// follow the TaskRegistries ordered-merge discipline.
+// Determinism: the engine steps in slot order on inputs that are pure
+// functions of the trace bytes, so decisions, energy and fairness series
+// are bit-identical to a batch replay of the materialized trace.
 //
-// Slot latency (solve-stage residence: staging + engine step + flush
-// handoff, excluding time blocked waiting for input) is tracked with
-// P2Quantile estimators and reported as p50/p99 — the serve-mode SLO metric.
+// Slot latency is staging + engine step + flush inspectors, excluding
+// ingest: a slot is not done until it is logged. It is tracked with
+// P2Quantile estimators and reported as p50/p99 — the serve-mode SLO
+// metric.
 #pragma once
 
 #include <cstdint>
@@ -43,20 +40,11 @@ namespace grefar {
 class StagedTraceFeed;
 
 struct ServiceLoopOptions {
-  /// Capacity of each inter-stage queue (>= 1). Total buffered slots are
-  /// O(queue_depth); deeper queues absorb burstier stage-time variance.
-  std::size_t queue_depth = 4;
-  /// False runs the same three stages serially on the caller thread —
-  /// identical results, no overlap — the baseline bench/serve_latency
-  /// compares against.
-  bool pipelined = true;
   /// Stop after this many slots (0 = run to the end of the traces; the run
   /// ends at whichever of the two traces ends first).
   std::int64_t max_slots = 0;
   /// Optional admission policy screening each staged arrival batch before
-  /// it enters the central queues (nullptr = admit everything). Consulted
-  /// by the engine on the solve thread, so stateful policies need no
-  /// synchronization.
+  /// it enters the central queues (nullptr = admit everything).
   std::shared_ptr<AdmissionPolicy> admission;
   EngineOptions engine;
 };
@@ -65,15 +53,14 @@ struct ServiceStats {
   std::int64_t slots = 0;
   double wall_seconds = 0.0;
   double slots_per_second = 0.0;
-  /// Solve-stage residence per slot, milliseconds (NaN when no slots ran).
+  /// Stage + step + flush per slot, milliseconds (NaN when no slots ran).
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Times the solve stage waited for ingest (input queue empty).
+  /// Always 0: the serial loop has no queues. Kept because the canonical
+  /// benchmark (perfbench) reads them.
   std::uint64_t ingest_stalls = 0;
-  /// Times any stage blocked on a full queue or an exhausted buffer pool.
   std::uint64_t backpressure_blocks = 0;
-  std::size_t input_queue_high_water = 0;
   std::size_t flush_queue_high_water = 0;
 };
 
@@ -93,10 +80,10 @@ class ServiceLoop {
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
-  /// Registers an inspector to run in the flush stage, in registration
-  /// order, over a copied SlotRecord (safe off-thread: no pointers into
-  /// engine scratch). Call before run(). An inspector throw (e.g. the
-  /// auditor's strict mode) surfaces as run()'s error.
+  /// Registers an inspector to run at the end of every slot, in
+  /// registration order, on the engine's SlotRecord. Call before run(). An
+  /// inspector throw (e.g. the auditor's strict mode) surfaces as run()'s
+  /// error.
   void add_flush_inspector(std::shared_ptr<SlotInspector> inspector);
 
   /// Runs the loop to completion (trace end, max_slots, or first error).
@@ -115,25 +102,20 @@ class ServiceLoop {
     std::vector<ArrivalBatch> batches;     // valued mode (v2 traces)
     std::vector<double> prices;
   };
-  struct FlushCopy;          // deep copy of one SlotRecord (service_loop.cc)
-  class PipelineInspector;   // engine hook that fills FlushCopy buffers
-  struct Pipeline;           // queues + pools + worker state (pipelined mode)
+  class FlushInspector;  // engine hook that runs flush_inspectors_
 
   /// Pulls the next slot from both sources into `in`. Returns false at
   /// clean end of stream.
   Result<bool> ingest_one(SlotInput& in);
 
-  /// Stages `in` and steps the engine exactly once. The flush handoff
-  /// happens inside the step via the attached PipelineInspector.
+  /// Stages `in` and steps the engine exactly once. The flush inspectors
+  /// run inside the step, via the attached FlushInspector.
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC
   void solve_slot(const SlotInput& in);
 
-  /// Runs the flush inspectors over one copied record; returns their error
-  /// (a throwing inspector is converted, not propagated).
-  Status flush_record(const FlushCopy& copy);
-
-  Result<ServiceStats> run_serial();
-  Result<ServiceStats> run_pipelined();
+  /// Runs the flush inspectors over one record; returns their error (a
+  /// throwing inspector is converted, not propagated).
+  Status flush_record(const SlotRecord& record);
 
   std::shared_ptr<const ClusterConfig> config_;
   std::unique_ptr<StreamingJobTraceSource> jobs_;
@@ -145,7 +127,6 @@ class ServiceLoop {
   bool valued_ = false;
   std::unique_ptr<StagedTraceFeed> feed_;
   std::unique_ptr<SimulationEngine> engine_;
-  std::shared_ptr<PipelineInspector> inspector_;
   std::vector<std::shared_ptr<SlotInspector>> flush_inspectors_;
   P2Quantile latency_p50_{0.50};
   P2Quantile latency_p99_{0.99};

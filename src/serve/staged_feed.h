@@ -10,7 +10,7 @@
 // of silently reading stale data.
 //
 // Single-threaded by design: stage() and the engine's reads happen on the
-// solve thread (the ingest thread touches only its own SlotInput buffers).
+// serve loop's thread.
 #pragma once
 
 #include <cstdint>

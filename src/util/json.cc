@@ -1,8 +1,8 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/csv.h"  // read_file
@@ -89,20 +89,27 @@ void escape_json_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
+// Byte-for-byte the output of printf's "%.0f" (integral values below 1e15)
+// or the shortest of "%.15g"/"%.16g"/"%.17g" that reads back exactly:
+// std::to_chars is defined as printf-equivalent in the C locale, without
+// printf's format parsing or strtod's locale handling.
 void format_json_number(double d, std::string& out) {
   GREFAR_CHECK_MSG(std::isfinite(d), "JSON cannot represent non-finite numbers");
   char buf[32];
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    out += buf;
+    const auto r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed, 0);
+    out.append(buf, r.ptr);
     return;
   }
-  // Shortest representation that round-trips exactly.
+  char* end = buf;
   for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == d) break;
   }
-  out += buf;
+  out.append(buf, end);
 }
 
 void append_newline_indent(std::string& out, int indent, int depth) {

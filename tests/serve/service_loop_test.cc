@@ -125,32 +125,32 @@ BatchRun run_batch(const Fixture& f) {
   return out;
 }
 
-TEST(ServiceLoop, BitIdenticalToBatchAtEveryQueueDepth) {
+TEST(ServiceLoop, BitIdenticalToBatch) {
   Fixture f;
   BatchRun batch = run_batch(f);
 
-  for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (bool pipelined : {false, true}) {
-      ServiceLoopOptions options;
-      options.queue_depth = depth;
-      options.pipelined = pipelined;
-      auto loop = f.make_loop(options);
-      auto recorder = std::make_shared<RecordingInspector>();
-      loop->add_flush_inspector(recorder);
-      auto stats = loop->run();
-      ASSERT_TRUE(stats.ok()) << stats.error().message;
-      EXPECT_EQ(stats.value().slots, kHorizon);
-      expect_bitwise_equal(loop->metrics(), batch.engine->metrics());
-      // Decisions, not just aggregates: every routed matrix bit-identical,
-      // observed by the flush inspector in slot order.
-      ASSERT_EQ(recorder->slots.size(), batch.recorder->slots.size());
-      for (std::size_t t = 0; t < recorder->slots.size(); ++t) {
-        EXPECT_EQ(recorder->slots[t], static_cast<std::int64_t>(t));
-        EXPECT_EQ(recorder->routed[t], batch.recorder->routed[t])
-            << "depth=" << depth << " pipelined=" << pipelined << " t=" << t;
-      }
-    }
+  auto loop = f.make_loop({});
+  auto recorder = std::make_shared<RecordingInspector>();
+  loop->add_flush_inspector(recorder);
+  auto stats = loop->run();
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  EXPECT_EQ(stats.value().slots, kHorizon);
+  expect_bitwise_equal(loop->metrics(), batch.engine->metrics());
+  // Decisions, not just aggregates: every routed matrix bit-identical,
+  // observed by the flush inspector in slot order.
+  ASSERT_EQ(recorder->slots.size(), batch.recorder->slots.size());
+  for (std::size_t t = 0; t < recorder->slots.size(); ++t) {
+    EXPECT_EQ(recorder->slots[t], static_cast<std::int64_t>(t));
+    EXPECT_EQ(recorder->routed[t], batch.recorder->routed[t]) << "t=" << t;
   }
+
+  // Without a flush inspector the engine takes its untraced path; the
+  // metrics must not change.
+  auto bare = f.make_loop({});
+  auto bare_stats = bare->run();
+  ASSERT_TRUE(bare_stats.ok()) << bare_stats.error().message;
+  EXPECT_EQ(bare_stats.value().slots, kHorizon);
+  expect_bitwise_equal(bare->metrics(), batch.engine->metrics());
 }
 
 /// A v2 fixture: the serve-scenario cluster with decay curves switched on,
@@ -247,7 +247,7 @@ void expect_value_ledger_equal(const SimMetrics& a, const SimMetrics& b) {
   }
 }
 
-TEST(ServiceLoop, ValuedTraceBitIdenticalToBatchSerialAndPipelined) {
+TEST(ServiceLoop, ValuedTraceBitIdenticalToBatch) {
   ValuedFixture f;
   auto batch = f.run_batch();
   // The workload must actually exercise the v2 machinery.
@@ -255,21 +255,17 @@ TEST(ServiceLoop, ValuedTraceBitIdenticalToBatchSerialAndPipelined) {
   EXPECT_GT(batch->metrics().abandoned_jobs.sum(), 0.0);
   EXPECT_GT(batch->metrics().decay_loss.sum(), 0.0);
 
-  for (bool pipelined : {false, true}) {
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
-    auto loop = f.make_loop(options);
-    InvariantAuditorOptions audit;
-    audit.throw_on_violation = true;
-    auto auditor = std::make_shared<InvariantAuditor>(*f.config, audit);
-    loop->add_flush_inspector(auditor);
-    auto stats = loop->run();
-    ASSERT_TRUE(stats.ok()) << stats.error().message;
-    EXPECT_EQ(stats.value().slots, kHorizon);
-    EXPECT_TRUE(auditor->ok());
-    expect_bitwise_equal(loop->metrics(), batch->metrics());
-    expect_value_ledger_equal(loop->metrics(), batch->metrics());
-  }
+  auto loop = f.make_loop({});
+  InvariantAuditorOptions audit;
+  audit.throw_on_violation = true;
+  auto auditor = std::make_shared<InvariantAuditor>(*f.config, audit);
+  loop->add_flush_inspector(auditor);
+  auto stats = loop->run();
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  EXPECT_EQ(stats.value().slots, kHorizon);
+  EXPECT_TRUE(auditor->ok());
+  expect_bitwise_equal(loop->metrics(), batch->metrics());
+  expect_value_ledger_equal(loop->metrics(), batch->metrics());
 }
 
 TEST(ServiceLoop, AdmissionPolicyMatchesBatchEngine) {
@@ -278,23 +274,18 @@ TEST(ServiceLoop, AdmissionPolicyMatchesBatchEngine) {
   auto batch = f.run_batch(admission);
   EXPECT_GT(batch->metrics().rejected_jobs.sum(), 0.0);
 
-  for (bool pipelined : {false, true}) {
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
-    options.admission = std::make_shared<ThresholdAdmission>(1.5);
-    auto loop = f.make_loop(options);
-    auto stats = loop->run();
-    ASSERT_TRUE(stats.ok()) << stats.error().message;
-    expect_bitwise_equal(loop->metrics(), batch->metrics());
-    expect_value_ledger_equal(loop->metrics(), batch->metrics());
-  }
+  ServiceLoopOptions options;
+  options.admission = std::make_shared<ThresholdAdmission>(1.5);
+  auto loop = f.make_loop(options);
+  auto stats = loop->run();
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  expect_bitwise_equal(loop->metrics(), batch->metrics());
+  expect_value_ledger_equal(loop->metrics(), batch->metrics());
 }
 
 TEST(ServiceLoop, FlushInspectorsRunInRegistrationOrder) {
   Fixture f;
-  ServiceLoopOptions options;
-  options.queue_depth = 2;
-  auto loop = f.make_loop(options);
+  auto loop = f.make_loop({});
   std::vector<std::string> journal;
   loop->add_flush_inspector(
       std::make_shared<RecordingInspector>(&journal, "first"));
@@ -325,38 +316,30 @@ TEST(ServiceLoop, InvariantAuditorRidesTheFlushStage) {
 
 TEST(ServiceLoop, ThrowingFlushInspectorSurfacesAsError) {
   Fixture f;
-  for (bool pipelined : {false, true}) {
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
-    auto loop = f.make_loop(options);
-    loop->add_flush_inspector(std::make_shared<ThrowingInspector>(5));
-    auto stats = loop->run();
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.error().message,
-              "flush inspector failed at slot 5: inspector boom");
-  }
+  auto loop = f.make_loop({});
+  loop->add_flush_inspector(std::make_shared<ThrowingInspector>(5));
+  auto stats = loop->run();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().message,
+            "flush inspector failed at slot 5: inspector boom");
 }
 
 TEST(ServiceLoop, IngestErrorSurfacesWithByteOffset) {
   Fixture f;
-  for (bool pipelined : {false, true}) {
-    // Corrupt one byte mid-trace: the error must name the row's position.
-    std::string bad = f.jobs_csv;
-    bad[bad.find("\n3,") + 1] = 'x';
-    auto jobs = std::make_unique<StreamingJobTraceSource>(
-        std::make_unique<std::istringstream>(bad), f.config->num_job_types());
-    auto prices = std::make_unique<StreamingPriceTraceSource>(
-        std::make_unique<std::istringstream>(f.prices_csv),
-        f.config->num_data_centers());
-    ServiceLoopOptions options;
-    options.pipelined = pipelined;
-    ServiceLoop loop(f.config, f.scenario.availability, f.make_scheduler(),
-                     std::move(jobs), std::move(prices), options);
-    auto stats = loop.run();
-    ASSERT_FALSE(stats.ok());
-    EXPECT_NE(stats.error().message.find("at byte"), std::string::npos)
-        << stats.error().message;
-  }
+  // Corrupt one byte mid-trace: the error must name the row's position.
+  std::string bad = f.jobs_csv;
+  bad[bad.find("\n3,") + 1] = 'x';
+  auto jobs = std::make_unique<StreamingJobTraceSource>(
+      std::make_unique<std::istringstream>(bad), f.config->num_job_types());
+  auto prices = std::make_unique<StreamingPriceTraceSource>(
+      std::make_unique<std::istringstream>(f.prices_csv),
+      f.config->num_data_centers());
+  ServiceLoop loop(f.config, f.scenario.availability, f.make_scheduler(),
+                   std::move(jobs), std::move(prices));
+  auto stats = loop.run();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_NE(stats.error().message.find("at byte"), std::string::npos)
+      << stats.error().message;
 }
 
 TEST(ServiceLoop, MaxSlotsStopsEarly) {

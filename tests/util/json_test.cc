@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace grefar {
 namespace {
@@ -120,6 +130,55 @@ TEST(JsonDump, RoundTripPreservesValues) {
 TEST(JsonDump, RejectsNonFinite) {
   JsonValue v(std::numeric_limits<double>::infinity());
   EXPECT_THROW(v.dump(), ContractViolation);
+}
+
+/// The snprintf/strtod number formatter the dumper used before it moved to
+/// std::to_chars, kept as the byte-for-byte reference.
+std::string printf_reference_number(double d) {
+  char buf[32];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  for (int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+TEST(JsonDump, NumberFormatMatchesPrintfReference) {
+  const double edge_cases[] = {
+      0.0, -0.0, 1.0, -1.0, 1e15, 1e15 - 1, 1e15 + 1, -1e15 + 1, 1e-5, 1e-4,
+      0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0,
+      0.1 + 0.2,              // needs 17 digits
+      5e-324,                 // smallest subnormal
+      DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON, 1.0 + DBL_EPSILON,
+      123456789012345.6,      // needs 16 digits
+      9007199254740993.0, 4503599627370495.5, 1e21, 1e22, 1e100, 1e-300,
+      -7.0, -42.0, -999999999999999.0, 123.456, -0.5, 0.5, 2.5, 1e16};
+  for (double d : edge_cases) {
+    EXPECT_EQ(JsonValue(d).dump(), printf_reference_number(d)) << d;
+  }
+
+  // Random bit patterns cover every exponent; the extra integral and
+  // unit-scale draws exercise the "%.0f" branch and the slot log's range.
+  Rng rng(20121015);
+  int compared = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double bits = std::bit_cast<double>(rng.next_u64());
+    const double integral =
+        static_cast<double>(static_cast<std::int64_t>(rng.next_u64() >> 14) -
+                            (std::int64_t{1} << 49));
+    const double scaled = rng.uniform(-1000.0, 1000.0);
+    for (double d : {bits, integral, scaled}) {
+      if (!std::isfinite(d)) continue;
+      ASSERT_EQ(JsonValue(d).dump(), printf_reference_number(d))
+          << std::bit_cast<std::uint64_t>(d);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 250000);
 }
 
 TEST(JsonValue, TypedAccessorsAreContractChecked) {
