@@ -95,10 +95,7 @@ AuditMode audit_from_cli(const CliParser& cli) {
   if (mode == "off") return AuditMode::kOff;
   if (mode == "throw") return AuditMode::kThrow;
   if (mode == "record") return AuditMode::kRecord;
-  std::cerr << "error: --audit must be auto|off|throw|record, got '" << mode
-            << "'\n\n"
-            << cli.usage();
-  std::exit(1);
+  exit_usage_error(cli, "--audit must be auto|off|throw|record, got '" + mode + "'");
 }
 
 SweepResult run_sweep(
@@ -108,21 +105,15 @@ SweepResult run_sweep(
   SweepResult result;
   result.engines.resize(count);
   result.leg_ms.resize(count, 0.0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(count);
-  for (std::size_t leg = 0; leg < count; ++leg) {
-    tasks.push_back([&result, &make_engine, obs, horizon, leg] {
-      auto start = std::chrono::steady_clock::now();
-      result.engines[leg] = make_engine(leg);
-      if (leg == 0 && obs != nullptr) obs->attach_tracer(*result.engines[leg]);
-      result.engines[leg]->run(horizon);
-      result.leg_ms[leg] = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    });
-  }
-  SimRunner runner(jobs);
-  runner.run(tasks);
+  SimRunner(jobs).for_each_index(count, [&](std::size_t leg) {
+    auto start = std::chrono::steady_clock::now();
+    result.engines[leg] = make_engine(leg);
+    if (leg == 0 && obs != nullptr) obs->attach_tracer(*result.engines[leg]);
+    result.engines[leg]->run(horizon);
+    result.leg_ms[leg] = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  });
   return result;
 }
 
@@ -139,12 +130,22 @@ std::vector<sweep::SweepLegResult> run_sweep_spec(const sweep::SweepSpec& spec,
       });
 }
 
+void exit_usage_error(const CliParser& cli, const std::string& message) {
+  std::cerr << "error: " << message << "\n\n" << cli.usage();
+  std::exit(1);
+}
+
 void parse_or_exit(CliParser& cli, int argc, char** argv) {
   auto status = cli.parse(argc, argv);
-  if (status.ok()) return;
-  if (status.error().message == "help") std::exit(0);
-  std::cerr << "error: " << status.error().message << "\n\n" << cli.usage();
-  std::exit(1);
+  if (!status.ok()) {
+    if (status.error().message == "help") std::exit(0);
+    exit_usage_error(cli, status.error().message);
+  }
+  // Every common-options binary simulates at least one slot; a zero or
+  // negative horizon would only trip a contract check deep in a model.
+  if (cli.has_option("horizon") && cli.get_int("horizon") < 1) {
+    exit_usage_error(cli, "--horizon must be >= 1, got " + cli.get_string("horizon"));
+  }
 }
 
 std::string render_chart(const std::string& title, const std::string& y_label,

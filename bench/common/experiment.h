@@ -126,7 +126,11 @@ std::vector<sweep::SweepLegResult> run_sweep_spec(const sweep::SweepSpec& spec,
                                                   std::size_t jobs, AuditMode audit,
                                                   const ObsSession* obs = nullptr);
 
+/// Prints "error: <message>" and the usage text to stderr, then exits 1.
+[[noreturn]] void exit_usage_error(const CliParser& cli, const std::string& message);
+
 /// Parses argv; exits the process on --help (status 0) or bad flags (1).
+/// When the common options are registered, also rejects --horizon < 1.
 void parse_or_exit(CliParser& cli, int argc, char** argv);
 
 /// Renders `series` (already running-averaged if desired) as an ASCII chart.

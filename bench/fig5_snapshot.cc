@@ -31,6 +31,12 @@ int main(int argc, char** argv) {
   const double V = cli.get_double("V");
   const auto start = cli.get_int("day-start");
   const auto window = cli.get_int("window");
+  if (start < 0 || window < 1 || window > horizon - start) {
+    exit_usage_error(cli, "need --day-start >= 0, --window >= 1 and "
+                          "--day-start + --window <= --horizon, got " +
+                              std::to_string(start) + " + " + std::to_string(window) +
+                              " vs " + std::to_string(horizon));
+  }
   const auto audit = audit_from_cli(cli);
 
   ObsSession obs(cli);
@@ -43,7 +49,7 @@ int main(int argc, char** argv) {
   // analogue of the paper's V=7.5 snapshot, so both are shown.
   const double V_strong = 20.0;
   PaperScenario scenario = make_paper_scenario(seed);
-  const auto run_slots = std::min<std::int64_t>(horizon, start + window);
+  const auto run_slots = start + window;
   auto grefar = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(V, 0.0)),

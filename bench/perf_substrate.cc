@@ -117,9 +117,7 @@ void BM_CappedBoxProject(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   CappedBoxPolytope polytope(std::vector<double>(n, 2.0));
-  std::vector<std::size_t> group(n);
-  for (std::size_t j = 0; j < n; ++j) group[j] = j;
-  polytope.add_group(std::move(group), static_cast<double>(n) / 3.0);
+  polytope.add_group(0, n, static_cast<double>(n) / 3.0);
   std::vector<double> y(n);
   for (auto& v : y) v = rng.uniform(-1.0, 3.0);
   for (auto _ : state) {
@@ -132,9 +130,7 @@ void BM_CappedBoxLmo(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   CappedBoxPolytope polytope(std::vector<double>(n, 2.0));
-  std::vector<std::size_t> group(n);
-  for (std::size_t j = 0; j < n; ++j) group[j] = j;
-  polytope.add_group(std::move(group), static_cast<double>(n) / 3.0);
+  polytope.add_group(0, n, static_cast<double>(n) / 3.0);
   std::vector<double> c(n);
   for (auto& v : c) v = rng.uniform(-1.0, 1.0);
   for (auto _ : state) {

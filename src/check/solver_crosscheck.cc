@@ -87,10 +87,8 @@ std::vector<InvariantViolation> crosscheck_solution(
   }
   CappedBoxPolytope grid(std::move(grid_ub));
   for (std::size_t i = 0; i < N; ++i) {
-    std::vector<std::size_t> members;
-    members.reserve(A);
-    for (std::size_t a = 0; a < A; ++a) members.push_back(problem.index(i, a));
-    grid.add_group(std::move(members), problem.curve(i).capacity());
+    const std::size_t begin = problem.index(i, 0);
+    grid.add_group(begin, begin + A, problem.curve(i).capacity());
   }
   const auto brute = minimize_brute_force(
       [&problem](const std::vector<double>& x) { return problem.value(x); },

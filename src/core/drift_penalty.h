@@ -65,13 +65,6 @@ struct GreFarParams {
   /// executes first within a slot). Disable for the literal eq. (13)
   /// ordering, which adds one slot of service lag.
   bool process_after_routing = true;
-  /// Start the iterative per-slot solvers (Frank-Wolfe / PGD) from the
-  /// previous slot's solution (projected onto the current capacity box)
-  /// instead of the greedy point. Queues and prices move slowly slot to
-  /// slot, so the previous optimum is usually a few iterations from the new
-  /// one. Disable for A/B comparison against the historical cold start;
-  /// ignored by the greedy and LP solvers, which are not iterative.
-  bool warm_start_across_slots = true;
 };
 
 /// The one rule for which job-type columns are live this slot (DESIGN.md

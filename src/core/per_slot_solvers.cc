@@ -75,9 +75,9 @@ bool refresh_pieces(const PerSlotProblem& problem, const PerSlotView& v,
 }
 
 /// Chooses the x0 for an iterative (FW/PGD) solve: the previous slot's
-/// solution when cross-slot warm starting is on and one is available,
-/// otherwise the greedy point. Steady state allocates nothing — the copy,
-/// the remap scratch and the projection all reuse existing capacity.
+/// solution when the scratch holds one, otherwise the greedy point. Steady
+/// state allocates nothing — the copy, the remap scratch and the projection
+/// all reuse existing capacity.
 ///
 /// The previous solution is remapped by job type id from its live-type list
 /// to the current one and clamped onto the current bound box entry-wise
@@ -92,8 +92,7 @@ void prepare_iterative_warm_start(const PerSlotProblem& problem,
   // prev_valid, not prev.empty(): an idle slot legitimately saves a
   // zero-variable solution, and the slot after it must still warm-start
   // (from all zeros) exactly like the identity-list run does.
-  if (problem.params().warm_start_across_slots && scratch != nullptr &&
-      scratch->prev_valid) {
+  if (scratch != nullptr && scratch->prev_valid) {
     const std::size_t N = problem.config().num_data_centers();
     const std::size_t J_prev = scratch->prev_types.size();
     if (scratch->prev.size() == N * J_prev) {

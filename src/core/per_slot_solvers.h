@@ -66,9 +66,10 @@ struct PerSlotSolverScratch {
   std::vector<std::uint32_t> cache_types;
   std::vector<Demand> demands;  // fill working copy of one DC's cache entry
   std::vector<double> warm;                             // FW/PGD warm start
-  /// Previous slot's FW/PGD solution; with params.warm_start_across_slots
-  /// the next solve starts here (clamped onto the current bound box and
-  /// remapped across live-type lists) instead of re-running the greedy.
+  /// Previous slot's FW/PGD solution; the next solve starts here (clamped
+  /// onto the current bound box and remapped across live-type lists)
+  /// instead of re-running the greedy. Queues and prices move slowly slot
+  /// to slot, so the previous optimum is usually a few iterations away.
   /// prev_valid flags that a solution was saved at all — an empty prev with
   /// prev_valid set is a real zero-variable solution (idle slot), not "no
   /// history". prev_types records the live-type list it was saved under.

@@ -49,7 +49,7 @@ struct LookaheadResult {
 /// Solves every frame LP over the horizon [0, R*T). Throws ContractViolation
 /// if any frame is infeasible (the slackness conditions (20)-(22) guarantee
 /// feasibility on well-posed instances). The R frames are independent and
-/// fan out over a SimRunner thread pool (params.jobs); each worker only
+/// fan out through SimRunner::for_each_index (params.jobs); each worker only
 /// touches pre-materialized per-frame data, never the (lazily caching)
 /// price/availability/arrival models, and results reduce in frame order —
 /// the output is bit-identical at any job count.

@@ -1,25 +1,24 @@
 // TaskRegistries: per-task counter/profile registries with an ordered merge.
 //
-// The parallel runners (SimRunner, and anything else that fans closures over
-// a pool) must not let worker threads touch the caller's registries: the
+// The parallel runner (SimRunner::for_each_index_tasked, the program's one
+// fan-out) must not let worker threads touch the caller's registries: the
 // active-registry pointers are thread-local, and counters promise
 // bit-identical totals at any --jobs value. The discipline — snapshot the
-// parent's active registries, give every task a private pair, and merge them
-// back *in task index order* after the join — was historically open-coded at
-// each fan-out site with raw CounterRegistry::merge() calls. That raw access
-// is exactly what the grefar-counter-discipline check (DESIGN.md §13) bans
-// outside src/obs, so the whole pattern lives here as one helper instead.
+// parent's active registries, give every loop task a private pair, and merge
+// them back *in task index order* after the join — lives here as one helper:
+// raw CounterRegistry::merge() calls are exactly what the
+// grefar-counter-discipline check (DESIGN.md §13) bans outside src/obs.
 //
 // Usage (see parallel/sim_runner.cc):
 //
-//   obs::TaskRegistries regs(tasks.size());
-//   pool.submit([..., i] {
-//     obs::CountersScope counters(regs.counters(i));
-//     obs::ProfileScope profile(regs.profile(i));
-//     tasks[i]();
-//   });
-//   pool.wait_idle();
-//   regs.merge_ordered();  // caller thread, after every task finished
+//   obs::TaskRegistries regs(workers);
+//   ThreadPool::submit_batch(workers, count, chunk,
+//                            [&](std::size_t task, std::size_t b, std::size_t e) {
+//     obs::CountersScope counters(regs.counters(task));
+//     obs::ProfileScope profile(regs.profile(task));
+//     for (std::size_t i = b; i < e; ++i) fn(task, i);
+//   });                    // joins every loop task before returning
+//   regs.merge_ordered();  // caller thread, after the join
 //
 // When the calling thread has no registry of a kind active, the matching
 // accessors return nullptr and the merge skips that kind — tasks then run

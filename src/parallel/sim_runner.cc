@@ -1,6 +1,8 @@
 #include "parallel/sim_runner.h"
 
 #include <algorithm>
+#include <exception>
+#include <vector>
 
 #include "obs/counters.h"
 #include "obs/profile.h"
@@ -12,11 +14,6 @@ namespace grefar {
 SimRunner::SimRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? ThreadPool::default_concurrency() : jobs) {}
 
-void SimRunner::run(std::vector<std::function<void()>>& tasks) const {
-  for_each_index(tasks.size(),
-                 [&tasks](std::size_t i) { tasks[i](); });
-}
-
 void SimRunner::for_each_index_tasked(
     std::size_t count,
     const std::function<void(std::size_t task, std::size_t index)>& fn,
@@ -27,8 +24,9 @@ void SimRunner::for_each_index_tasked(
   const std::size_t workers = std::min(jobs_, num_ranges);
   std::vector<std::exception_ptr> errors(count);
   if (jobs_ <= 1 || workers <= 1) {
-    // Serial path: inline, in order, on the calling thread, no pool — the
-    // historical behaviour (and the caller's obs registries stay active).
+    // Serial path: inline, in order, on the calling thread, no threads
+    // started — the historical behaviour (and the caller's obs registries
+    // stay active).
     for (std::size_t i = 0; i < count; ++i) {
       try {
         fn(0, i);
@@ -46,20 +44,20 @@ void SimRunner::for_each_index_tasked(
     // snapshot/private-pair/ordered-merge pattern lives in obs (raw registry
     // merges outside src/obs violate the counter-discipline contract).
     obs::TaskRegistries regs(workers);
-    ThreadPool pool(workers);
-    pool.submit_batch(count, chunk,
-                      [&fn, &errors, &regs](std::size_t task, std::size_t begin,
-                                            std::size_t end) {
-                        obs::CountersScope counters(regs.counters(task));
-                        obs::ProfileScope profile(regs.profile(task));
-                        for (std::size_t i = begin; i < end; ++i) {
-                          try {
-                            fn(task, i);
-                          } catch (...) {
-                            errors[i] = std::current_exception();
-                          }
-                        }
-                      });
+    ThreadPool::submit_batch(
+        workers, count, chunk,
+        [&fn, &errors, &regs](std::size_t task, std::size_t begin,
+                              std::size_t end) {
+          obs::CountersScope counters(regs.counters(task));
+          obs::ProfileScope profile(regs.profile(task));
+          for (std::size_t i = begin; i < end; ++i) {
+            try {
+              fn(task, i);
+            } catch (...) {
+              errors[i] = std::current_exception();
+            }
+          }
+        });
     regs.merge_ordered();
   }
   for (auto& e : errors) {
@@ -72,12 +70,6 @@ void SimRunner::for_each_index(std::size_t count,
                                std::size_t chunk) const {
   for_each_index_tasked(
       count, [&fn](std::size_t /*task*/, std::size_t i) { fn(i); }, chunk);
-}
-
-std::vector<std::unique_ptr<SimulationEngine>> SimRunner::run_engines(
-    std::vector<std::function<std::unique_ptr<SimulationEngine>()>> makers) const {
-  return map<std::unique_ptr<SimulationEngine>>(
-      makers.size(), [&makers](std::size_t i) { return makers[i](); });
 }
 
 }  // namespace grefar

@@ -1,30 +1,26 @@
-// SimRunner: fans independent simulation runs across a ThreadPool with
-// deterministic, submission-ordered results.
+// SimRunner: fans independent simulation runs across threads with
+// deterministic, index-ordered results.
 //
 // The repo's stochastic models (prices, availability, arrivals) carry lazily
 // extended mutable caches, so model *instances* must never be shared between
-// concurrent runs. The contract here makes that structural: each leg of a
-// sweep is a closure that builds its own scenario (deterministic per seed,
-// i.e. its own RNG streams), its own scheduler and its own engine/SimMetrics,
-// and returns whatever the caller wants to aggregate. Results land in a slot
-// per leg, so aggregation in leg order is bit-for-bit identical no matter how
-// many workers ran the legs — `jobs = 1` executes inline with no pool at all
-// and reproduces the historical serial behaviour exactly. Per-leg metric
-// accumulators (RunningStats and friends) merge cleanly afterwards because
-// they are parallel-combinable by design.
+// concurrent runs. The contract here makes that structural: each index of a
+// fan-out (a sweep leg, a lookahead frame) builds or reads only its own
+// state — its own scenario (deterministic per seed, i.e. its own RNG
+// streams), scheduler and engine/SimMetrics — and writes its result into a
+// caller-owned slot for that index. Aggregation in index order is then
+// bit-for-bit identical no matter how many threads ran the indices —
+// `jobs = 1` executes inline with no threads at all and reproduces the
+// historical serial behaviour exactly. Per-leg metric accumulators
+// (RunningStats and friends) merge cleanly afterwards because they are
+// parallel-combinable by design.
 //
-// A task that throws poisons only its own slot; run()/map() rethrow the
-// first failure in leg order after every leg has finished.
+// An index that throws poisons only its own slot; for_each_index rethrows
+// the first failure in index order after every index has finished.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <utility>
-#include <vector>
 
-#include "sim/engine.h"
 #include "util/annotations.h"
 
 namespace grefar {
@@ -36,20 +32,15 @@ class SimRunner {
 
   std::size_t jobs() const { return jobs_; }
 
-  /// Runs every task (in parallel for jobs > 1, inline in order for
-  /// jobs == 1). Returns once all tasks finished; rethrows the first
-  /// task exception in index order.
-  GREFAR_DETERMINISTIC
-  void run(std::vector<std::function<void()>>& tasks) const;
-
-  /// Chunked indexed loop over [0, count): indices are handed to workers in
+  /// Chunked indexed loop over [0, count): indices are handed to threads in
   /// fixed consecutive ranges of `chunk` via ThreadPool::submit_batch — one
-  /// std::function per *loop task*, not per index. `fn(task, index)` receives
-  /// the loop-task id (0 .. workers-1; always 0 on the serial path) so callers
-  /// can keep worker-local arenas. Within a range, indices run in ascending
-  /// order on one thread. jobs == 1 (or a single worker) executes inline on
-  /// the calling thread, index order 0..count-1, no pool — the historical
-  /// serial contract. Rethrows the first per-index exception in index order.
+  /// std::thread per *loop task*, joined before this returns. `fn(task,
+  /// index)` receives the loop-task id (0 .. workers-1; always 0 on the
+  /// serial path) so callers can keep worker-local arenas. Within a range,
+  /// indices run in ascending order on one thread. jobs == 1 (or a single
+  /// range) executes inline on the calling thread, index order
+  /// 0..count-1, no threads — the historical serial contract. Rethrows the
+  /// first per-index exception in index order.
   GREFAR_DETERMINISTIC
   void for_each_index_tasked(
       std::size_t count,
@@ -61,21 +52,6 @@ class SimRunner {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t index)>& fn,
                       std::size_t chunk = 1) const;
-
-  /// Parallel map with ordered results: results[i] = fn(i). Routed through
-  /// the chunked ticket path, so no per-index closure is allocated.
-  template <typename Result>
-  std::vector<Result> map(std::size_t count,
-                          std::function<Result(std::size_t)> fn) const {
-    std::vector<Result> results(count);
-    for_each_index(count, [&results, &fn](std::size_t i) { results[i] = fn(i); });
-    return results;
-  }
-
-  /// Domain shorthand: each maker builds *and runs* one engine on a worker;
-  /// engines (with their SimMetrics) come back in maker order.
-  std::vector<std::unique_ptr<SimulationEngine>> run_engines(
-      std::vector<std::function<std::unique_ptr<SimulationEngine>()>> makers) const;
 
  private:
   std::size_t jobs_;

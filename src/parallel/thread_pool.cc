@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -12,88 +13,32 @@
 
 namespace grefar {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  num_threads = std::max<std::size_t>(num_threads, 1);
-  workers_.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  // Workers only exit once the queue is empty (see worker_loop), so every
-  // task submitted before destruction still runs.
-  task_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  GREFAR_CHECK(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    GREFAR_CHECK_MSG(!stopping_, "submit() on a stopping ThreadPool");
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
 std::size_t ThreadPool::submit_batch(
-    std::size_t count, std::size_t chunk,
+    std::size_t threads, std::size_t count, std::size_t chunk,
     const std::function<void(std::size_t task, std::size_t begin,
                              std::size_t end)>& body) {
   GREFAR_CHECK(body != nullptr);
   if (count == 0) return 0;
   chunk = std::max<std::size_t>(chunk, 1);
   const std::size_t num_ranges = (count + chunk - 1) / chunk;
-  const std::size_t num_tasks = std::min(num_threads(), num_ranges);
+  const std::size_t num_tasks =
+      std::min(std::max<std::size_t>(threads, 1), num_ranges);
 
-  // Shared batch state lives on the heap so loop tasks stay valid even if the
-  // caller's frame unwinds (it can't here — we block below — but the pool
-  // queue owns copies of the closures either way).
-  struct BatchState {
-    std::atomic<std::size_t> ticket{0};
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->remaining = num_tasks;
-
+  std::atomic<std::size_t> ticket{0};
+  std::vector<std::thread> loop_tasks;
+  loop_tasks.reserve(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([state, count, chunk, num_ranges, t, &body] {
+    loop_tasks.emplace_back([&ticket, &body, count, chunk, num_ranges, t] {
       for (;;) {
-        const std::size_t range =
-            state->ticket.fetch_add(1, std::memory_order_relaxed);
-        if (range >= num_ranges) break;
+        const std::size_t range = ticket.fetch_add(1, std::memory_order_relaxed);
+        if (range >= num_ranges) return;
         const std::size_t begin = range * chunk;
-        const std::size_t end = std::min(begin + chunk, count);
-        body(t, begin, end);
+        body(t, begin, std::min(begin + chunk, count));
       }
-      {
-        std::unique_lock<std::mutex> lock(state->mutex);
-        --state->remaining;
-      }
-      state->done.notify_one();
     });
   }
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining == 0; });
+  for (auto& thread : loop_tasks) thread.join();
   return num_tasks;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-std::size_t ThreadPool::completed_tasks() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return completed_;
 }
 
 std::size_t ThreadPool::default_concurrency() {
@@ -109,27 +54,6 @@ std::size_t ThreadPool::default_concurrency() {
   }
 #endif
   return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++running_;
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --running_;
-      ++completed_;
-      if (queue_.empty() && running_ == 0) all_done_.notify_all();
-    }
-  }
 }
 
 }  // namespace grefar

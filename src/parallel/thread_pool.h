@@ -1,88 +1,48 @@
-// ThreadPool: a fixed-size worker pool for embarrassingly parallel sweeps.
+// ThreadPool: the one place the program starts threads — a fork-join over
+// ticket-claimed index ranges.
 //
-// Deliberately work-stealing-free: tasks are pulled from a single FIFO queue
-// under one mutex, which is ample for the coarse-grained jobs this repo fans
-// out (whole simulation runs taking milliseconds to seconds each) and keeps
-// the execution model easy to reason about. Determinism is achieved one
-// level up — submitters write results into pre-assigned slots and aggregate
-// in submission order — so the pool itself never has to order anything.
-//
-// Lifecycle guarantees:
-//   * every submitted task runs exactly once (none lost, none duplicated);
-//   * the destructor drains the queue — it blocks until all tasks, including
-//     ones still queued, have finished, then joins the workers;
-//   * wait_idle() blocks until the queue is empty and no task is running,
-//     without shutting the pool down.
+// submit_batch() starts its loop tasks on std::threads and joins every one
+// of them before it returns, so no thread outlives the call that asked for
+// it. The parallel jobs in this repo are coarse (whole simulation legs and
+// lookahead frames, milliseconds to seconds each), so starting threads per
+// call costs nothing measurable. Determinism is achieved one level up —
+// callers write results into pre-assigned slots and aggregate in index
+// order (see SimRunner) — so the fork-join itself never has to order
+// anything.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace grefar {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(std::size_t num_threads);
-
-  /// Drains all remaining tasks, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; runs on some worker in FIFO pop order.
-  void submit(std::function<void()> task);
+  ThreadPool() = delete;
 
   /// Chunked dynamic scheduling (DESIGN.md §16): partitions [0, count) into
   /// fixed ranges of `chunk` consecutive indices — range k is
   /// [k*chunk, min((k+1)*chunk, count)), a pure function of (count, chunk) —
-  /// and spawns min(num_threads(), num_ranges) loop tasks that claim ranges
-  /// through a shared atomic ticket counter. Each claimed range is executed
-  /// front to back, so indices within a range always run in ascending order
-  /// on one thread; which *thread* runs a range is scheduling-dependent,
-  /// which is why `body` receives its loop-task id (0 .. tasks-1) for
-  /// worker-local arenas rather than a range id.
+  /// and starts min(threads, num_ranges) loop tasks, each on its own
+  /// std::thread, that claim ranges through a shared atomic ticket counter.
+  /// Each claimed range is executed front to back, so indices within a range
+  /// always run in ascending order on one thread; which *thread* runs a range
+  /// is scheduling-dependent, which is why `body` receives its loop-task id
+  /// (0 .. tasks-1) for worker-local arenas rather than a range id.
   ///
-  /// Blocks until every range ran (other concurrently submitted work may
-  /// still be in flight — this is not wait_idle). `body` must not throw;
-  /// callers capture per-index failures themselves (see SimRunner). Returns
-  /// the number of loop tasks spawned.
-  std::size_t submit_batch(
-      std::size_t count, std::size_t chunk,
+  /// Joins every loop task before returning. `body` must not throw; callers
+  /// capture per-index failures themselves (see SimRunner). `threads` is
+  /// clamped to >= 1. Returns the number of loop tasks started.
+  static std::size_t submit_batch(
+      std::size_t threads, std::size_t count, std::size_t chunk,
       const std::function<void(std::size_t task, std::size_t begin,
                                std::size_t end)>& body);
-
-  /// Blocks until every submitted task has completed.
-  void wait_idle();
-
-  std::size_t num_threads() const { return workers_.size(); }
-
-  /// Total tasks that have finished running (for tests / introspection).
-  std::size_t completed_tasks() const;
 
   /// Usable CPUs: the sched_getaffinity CPU count where available (so cgroup
   /// / taskset limits in containerized CI are honored instead of
   /// oversubscribing the host), falling back to
   /// std::thread::hardware_concurrency(); always >= 1.
   static std::size_t default_concurrency();
-
- private:
-  void worker_loop();
-
-  mutable std::mutex mutex_;
-  std::condition_variable task_ready_;   // signals workers
-  std::condition_variable all_done_;     // signals wait_idle / destructor
-  std::deque<std::function<void()>> queue_;
-  std::size_t running_ = 0;    // tasks currently executing
-  std::size_t completed_ = 0;  // tasks finished since construction
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace grefar

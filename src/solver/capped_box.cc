@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -13,25 +12,17 @@ CappedBoxPolytope::CappedBoxPolytope(std::vector<double> ub)
   for (double u : ub_) GREFAR_CHECK_MSG(u >= 0.0, "upper bound must be >= 0");
 }
 
-void CappedBoxPolytope::add_group(std::vector<std::size_t> indices, double cap) {
+void CappedBoxPolytope::add_group(std::size_t begin, std::size_t end, double cap) {
   GREFAR_CHECK_MSG(cap >= 0.0, "group cap must be >= 0");
-  for (std::size_t j : indices) {
-    GREFAR_CHECK(j < ub_.size());
-    GREFAR_CHECK_MSG(!grouped_[j], "variable " << j << " already in a group");
-    grouped_[j] = true;
-  }
-  Group g;
-  g.cap = cap;
-  g.contiguous = !indices.empty();
-  for (std::size_t k = 0; k + 1 < indices.size() && g.contiguous; ++k) {
-    g.contiguous = indices[k + 1] == indices[k] + 1;
-  }
-  if (g.contiguous) {
-    g.begin = indices.front();
-    g.end = indices.back() + 1;
-  }
-  g.indices = std::move(indices);
-  groups_.push_back(std::move(g));
+  GREFAR_CHECK_MSG(begin <= end && end <= ub_.size(),
+                   "group [" << begin << ", " << end << ") outside dim " << ub_.size());
+  const auto first = grouped_.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto last = grouped_.begin() + static_cast<std::ptrdiff_t>(end);
+  const auto taken = std::find(first, last, true);
+  GREFAR_CHECK_MSG(taken == last, "variable " << (taken - grouped_.begin())
+                                              << " already in a group");
+  std::fill(first, last, true);
+  groups_.push_back(Group{begin, end, cap});
 }
 
 void CappedBoxPolytope::rebuild_contiguous(std::size_t n_groups,
@@ -41,12 +32,7 @@ void CappedBoxPolytope::rebuild_contiguous(std::size_t n_groups,
   grouped_.assign(n, true);
   groups_.resize(n_groups);
   for (std::size_t g = 0; g < n_groups; ++g) {
-    Group& grp = groups_[g];
-    grp.indices.clear();  // contiguous oracles never touch the index list
-    grp.cap = 0.0;
-    grp.begin = g * group_size;
-    grp.end = (g + 1) * group_size;
-    grp.contiguous = true;
+    groups_[g] = Group{g * group_size, (g + 1) * group_size, 0.0};
   }
 }
 
@@ -69,11 +55,7 @@ bool CappedBoxPolytope::contains(const std::vector<double>& x, double tol) const
   }
   for (const auto& g : groups_) {
     double sum = 0.0;
-    if (g.contiguous) {
-      for (std::size_t j = g.begin; j < g.end; ++j) sum += x[j];
-    } else {
-      for (std::size_t j : g.indices) sum += x[j];
-    }
+    for (std::size_t j = g.begin; j < g.end; ++j) sum += x[j];
     if (sum > g.cap + tol) return false;
   }
   return true;
@@ -84,67 +66,38 @@ void CappedBoxPolytope::project_group(const Group& g, std::vector<double>& x) co
   // lambda >= 0 satisfying the cap. The group's x entries still hold the
   // *original* y values (project_into clamps only ungrouped variables), and
   // every pass below reads before it writes, so the bisection can run
-  // straight off x — no staging copy.
-  //
-  // Contiguous fast path: stride-1 loops over raw pointers, branch-free
-  // clamps — these are the inner loops of every PGD iteration at N*J
-  // variables, and the compiler vectorizes them only without the indices
-  // indirection.
-  if (g.contiguous) {
-    double* xs = x.data() + g.begin;
-    const double* ub = ub_.data() + g.begin;
-    const std::size_t count = g.end - g.begin;
-    double sum0 = 0.0;
-    double hi = 0.0;
-    for (std::size_t k = 0; k < count; ++k) {
-      sum0 += std::clamp(xs[k], 0.0, ub[k]);
-      hi = std::max(hi, xs[k]);
-    }
-    if (sum0 <= g.cap) {
-      for (std::size_t k = 0; k < count; ++k) xs[k] = std::clamp(xs[k], 0.0, ub[k]);
-      return;
-    }
-    // sum(lambda) is non-increasing and reaches 0 at max(y); bisect, exiting
-    // early once the bracket is resolved to ~1e-12 relative (the historical
-    // fixed 100 rounds kept bisecting long past double resolution).
-    double lo = 0.0;
-    for (int iter = 0; iter < 100; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      double s = 0.0;
-      for (std::size_t k = 0; k < count; ++k) s += std::clamp(xs[k] - mid, 0.0, ub[k]);
-      if (s > g.cap) lo = mid;
-      else hi = mid;
-      if (hi - lo <= 1e-12 * (1.0 + hi)) break;
-    }
-    const double lambda = 0.5 * (lo + hi);
-    for (std::size_t k = 0; k < count; ++k) {
-      xs[k] = std::clamp(xs[k] - lambda, 0.0, ub[k]);
-    }
-    return;
-  }
-
-  auto sum_at = [&](double lambda) {
-    double s = 0.0;
-    for (std::size_t j : g.indices) {
-      s += std::clamp(x[j] - lambda, 0.0, ub_[j]);
-    }
-    return s;
-  };
-  if (sum_at(0.0) <= g.cap) {
-    for (std::size_t j : g.indices) x[j] = std::clamp(x[j], 0.0, ub_[j]);
-    return;
-  }
-  double lo = 0.0;
+  // straight off x — no staging copy. Stride-1 loops over raw pointers with
+  // branch-free clamps: these are the inner loops of every PGD iteration at
+  // N*J variables.
+  double* xs = x.data() + g.begin;
+  const double* ub = ub_.data() + g.begin;
+  const std::size_t count = g.end - g.begin;
+  double sum0 = 0.0;
   double hi = 0.0;
-  for (std::size_t j : g.indices) hi = std::max(hi, x[j]);
+  for (std::size_t k = 0; k < count; ++k) {
+    sum0 += std::clamp(xs[k], 0.0, ub[k]);
+    hi = std::max(hi, xs[k]);
+  }
+  if (sum0 <= g.cap) {
+    for (std::size_t k = 0; k < count; ++k) xs[k] = std::clamp(xs[k], 0.0, ub[k]);
+    return;
+  }
+  // sum(lambda) is non-increasing and reaches 0 at max(y); bisect, exiting
+  // early once the bracket is resolved to ~1e-12 relative (the historical
+  // fixed 100 rounds kept bisecting long past double resolution).
+  double lo = 0.0;
   for (int iter = 0; iter < 100; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    if (sum_at(mid) > g.cap) lo = mid;
+    const double mid = 0.5 * (lo + hi);
+    double s = 0.0;
+    for (std::size_t k = 0; k < count; ++k) s += std::clamp(xs[k] - mid, 0.0, ub[k]);
+    if (s > g.cap) lo = mid;
     else hi = mid;
     if (hi - lo <= 1e-12 * (1.0 + hi)) break;
   }
-  double lambda = 0.5 * (lo + hi);
-  for (std::size_t j : g.indices) x[j] = std::clamp(x[j] - lambda, 0.0, ub_[j]);
+  const double lambda = 0.5 * (lo + hi);
+  for (std::size_t k = 0; k < count; ++k) {
+    xs[k] = std::clamp(xs[k] - lambda, 0.0, ub[k]);
+  }
 }
 
 std::vector<double> CappedBoxPolytope::project(const std::vector<double>& y) const {
@@ -182,26 +135,16 @@ void CappedBoxPolytope::minimize_linear_into(const std::vector<double>& c,
   for (const auto& g : groups_) {
     // Fractional greedy: fill by ascending cost while cost < 0 and cap
     // remains. Only negative-cost variables can enter the solution, so
-    // first scan for them (stride-1 on the contiguous fast path) — and if
-    // their bounds cannot even reach the cap, the fill order is irrelevant
-    // and the sort is skipped entirely.
+    // first scan for them — and if their bounds cannot even reach the cap,
+    // the fill order is irrelevant and the sort is skipped entirely.
     std::vector<std::size_t>& order = lmo_order_;
     order.clear();
     double neg_ub = 0.0;
     // Amortized: lmo_order_ is clear()+refilled, high-water capacity reused.
-    if (g.contiguous) {
-      for (std::size_t j = g.begin; j < g.end; ++j) {
-        if (c[j] < 0.0) {
-          order.push_back(j);  // NOLINT(grefar-hot-path-alloc)
-          neg_ub += ub_[j];
-        }
-      }
-    } else {
-      for (std::size_t j : g.indices) {
-        if (c[j] < 0.0) {
-          order.push_back(j);  // NOLINT(grefar-hot-path-alloc)
-          neg_ub += ub_[j];
-        }
+    for (std::size_t j = g.begin; j < g.end; ++j) {
+      if (c[j] < 0.0) {
+        order.push_back(j);  // NOLINT(grefar-hot-path-alloc)
+        neg_ub += ub_[j];
       }
     }
     if (neg_ub <= g.cap) {

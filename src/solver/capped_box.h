@@ -20,9 +20,10 @@ class CappedBoxPolytope {
   /// `ub[j]` is the per-variable upper bound (>= 0; may be +infinity).
   explicit CappedBoxPolytope(std::vector<double> ub);
 
-  /// Declares a group over distinct variable indices with sum cap >= 0.
-  /// Groups must be disjoint; indices not in any group are box-only.
-  void add_group(std::vector<std::size_t> indices, double cap);
+  /// Declares a group over the variable range [begin, end) with sum
+  /// cap >= 0. The range must lie within dim() and groups must be disjoint;
+  /// variables not in any group are box-only.
+  void add_group(std::size_t begin, std::size_t end, double cap);
 
   /// In-place re-shape for callers whose dimension changes per slot (the
   /// per-slot problem over its live type columns): the polytope becomes
@@ -74,16 +75,13 @@ class CappedBoxPolytope {
                             std::vector<double>& out) const;
 
  private:
+  // A group is the variable range [begin, end) — in the per-slot problem DC
+  // i owns variables i*J .. i*J+J-1 — so the oracles run stride-1 loops on
+  // raw pointers.
   struct Group {
-    std::vector<std::size_t> indices;
-    double cap;
-    // Detected at add_group: when the indices are the ascending run
-    // [begin, end) — true for every per-slot problem group, where DC i owns
-    // variables i*J .. i*J+J-1 — the oracles take stride-1 fast paths on
-    // raw pointers instead of chasing the indices indirection.
     std::size_t begin = 0;
     std::size_t end = 0;
-    bool contiguous = false;
+    double cap = 0.0;
   };
 
   GREFAR_HOT_PATH GREFAR_DETERMINISTIC

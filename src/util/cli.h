@@ -31,6 +31,11 @@ class CliParser {
   /// is "help" (callers typically exit 0 on it). Unknown options fail.
   Status parse(int argc, const char* const* argv);
 
+  /// True if `name` was registered as an option or flag.
+  bool has_option(const std::string& name) const {
+    return find_option(name) != nullptr;
+  }
+
   /// Typed getters (after parse). Contract-checked: the option must have been
   /// registered. Numeric getters fail the program on malformed values.
   std::string get_string(const std::string& name) const;

@@ -241,29 +241,6 @@ TEST(PerSlotDispatch, AllSolversRun) {
   }
 }
 
-TEST(CrossSlotWarmStart, OffReproducesTheColdTrajectory) {
-  // With warm_start_across_slots off, a scratch-carrying solve must be
-  // bitwise identical to the historical scratch-free cold solve, slot by
-  // slot — the A/B lever has to be a true control.
-  auto config = test_config();
-  Rng rng(21);
-  GreFarParams p = params(2.0, 50.0);
-  p.warm_start_across_slots = false;
-
-  std::vector<SlotObservation> slots;
-  for (int t = 0; t < 5; ++t) slots.push_back(random_obs(config, rng));
-  PerSlotProblem problem(config, slots[0], p);
-  PerSlotSolverScratch scratch;
-  std::vector<double> u;
-  for (const auto& obs : slots) {
-    problem.reset(obs);
-    solve_per_slot_into(problem, PerSlotSolver::kFrankWolfe, u, &scratch);
-    auto cold = solve_per_slot_frank_wolfe(problem);
-    ASSERT_EQ(u.size(), cold.size());
-    for (std::size_t v = 0; v < u.size(); ++v) EXPECT_EQ(u[v], cold[v]);
-  }
-}
-
 TEST(CrossSlotWarmStart, OnMatchesTheColdObjective) {
   // Warm-started slots may stop at a (very slightly) different point, but
   // the objective must match the cold solve to solver tolerance for both
@@ -271,7 +248,6 @@ TEST(CrossSlotWarmStart, OnMatchesTheColdObjective) {
   auto config = test_config();
   Rng rng(22);
   GreFarParams p = params(2.0, 50.0);
-  ASSERT_TRUE(p.warm_start_across_slots);  // on by default
 
   std::vector<SlotObservation> slots;
   for (int t = 0; t < 6; ++t) slots.push_back(random_obs(config, rng));

@@ -208,14 +208,6 @@ TEST(SparseFairness, PgdCompactMatchesDenseBitwise) {
   run_sparse_vs_dense(p, PerSlotSolver::kProjectedGradient, 0xB0B);
 }
 
-TEST(SparseFairness, PgdColdStartCompactMatchesDenseBitwise) {
-  GreFarParams p;
-  p.V = 1.0;
-  p.beta = 1.5;
-  p.warm_start_across_slots = false;  // greedy cold start every slot
-  run_sparse_vs_dense(p, PerSlotSolver::kProjectedGradient, 0xC0FFEE);
-}
-
 TEST(SparseFairness, FrankWolfeCompactMatchesDenseBitwise) {
   GreFarParams p;
   p.V = 2.0;

@@ -87,15 +87,11 @@ TEST(Counters, SimRunnerTotalsAreJobCountInvariant) {
   auto run_with = [](std::size_t jobs) {
     obs::CounterRegistry reg;
     obs::CountersScope scope(&reg);
-    std::vector<std::function<void()>> tasks;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      tasks.push_back([i] {
-        obs::count("task.runs");
-        obs::count("task.work", i);
-        obs::gauge_max("task.max", static_cast<double>(i));
-      });
-    }
-    SimRunner(jobs).run(tasks);
+    SimRunner(jobs).for_each_index(8, [](std::size_t i) {
+      obs::count("task.runs");
+      obs::count("task.work", i);
+      obs::gauge_max("task.max", static_cast<double>(i));
+    });
     return reg;
   };
   const obs::CounterRegistry serial = run_with(1);

@@ -158,19 +158,15 @@ TEST(Counters, EngineCounterTotalsAreJobCountInvariant) {
   auto run_with = [](std::size_t jobs) {
     obs::CounterRegistry reg;
     obs::CountersScope scope(&reg);
-    std::vector<std::function<void()>> tasks;
-    for (std::uint64_t leg = 0; leg < 4; ++leg) {
-      tasks.push_back([leg] {
-        PaperScenario scenario = make_small_scenario(100 + leg);
-        auto engine = make_scenario_engine(
-            scenario,
-            std::make_shared<GreFarScheduler>(scenario.config,
-                                              paper_grefar_params(7.5, 0.0)),
-            {}, AuditMode::kOff);
-        engine->run(40);
-      });
-    }
-    SimRunner(jobs).run(tasks);
+    SimRunner(jobs).for_each_index(4, [](std::size_t leg) {
+      PaperScenario scenario = make_small_scenario(100 + leg);
+      auto engine = make_scenario_engine(
+          scenario,
+          std::make_shared<GreFarScheduler>(scenario.config,
+                                            paper_grefar_params(7.5, 0.0)),
+          {}, AuditMode::kOff);
+      engine->run(40);
+    });
     return reg;
   };
   const obs::CounterRegistry serial = run_with(1);

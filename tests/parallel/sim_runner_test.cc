@@ -1,9 +1,12 @@
-// Tests for the parallel sweep subsystem: ThreadPool lifecycle guarantees
-// and SimRunner's determinism contract (jobs = 1 and jobs = N must produce
-// bit-identical metrics, because every leg owns its models end to end).
+// Tests for the parallel sweep subsystem: the ThreadPool fork-join's range
+// coverage and join guarantees, and SimRunner's determinism contract
+// (jobs = 1 and jobs = N must produce bit-identical metrics, because every
+// leg owns its models end to end).
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/baselines.h"
 #include "core/grefar.h"
 #include "parallel/sim_runner.h"
 #include "parallel/thread_pool.h"
@@ -24,49 +26,14 @@
 namespace grefar {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnce) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-  EXPECT_EQ(pool.completed_tasks(), 100u);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // No wait_idle(): the destructor must block until all 32 ran.
-  }
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPoolTest, WaitIdleReturnsWithEmptyQueue) {
-  ThreadPool pool(3);
-  pool.wait_idle();  // no tasks submitted: must not hang
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, SubmitBatchCoversEveryIndexExactlyOnce) {
   for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                             std::size_t{200}}) {
-    ThreadPool pool(4);
+    constexpr std::size_t kThreads = 4;
     constexpr std::size_t kCount = 100;
     std::vector<std::atomic<int>> hits(kCount);
-    std::size_t tasks = pool.submit_batch(
-        kCount, chunk, [&](std::size_t, std::size_t begin, std::size_t end) {
+    std::size_t tasks = ThreadPool::submit_batch(
+        kThreads, kCount, chunk, [&](std::size_t, std::size_t begin, std::size_t end) {
           ASSERT_LE(begin, end);
           ASSERT_LE(end, kCount);
           for (std::size_t i = begin; i < end; ++i) {
@@ -74,7 +41,7 @@ TEST(ThreadPoolTest, SubmitBatchCoversEveryIndexExactlyOnce) {
           }
         });
     EXPECT_GE(tasks, 1u);
-    EXPECT_LE(tasks, pool.num_threads());
+    EXPECT_LE(tasks, kThreads);
     for (std::size_t i = 0; i < kCount; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "chunk " << chunk << " index " << i;
     }
@@ -82,20 +49,56 @@ TEST(ThreadPoolTest, SubmitBatchCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, SubmitBatchHandlesEmptyAndOversizedChunks) {
-  ThreadPool pool(2);
   int calls = 0;
   // count == 0: no ranges, returns without touching the body.
-  pool.submit_batch(0, 4, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
+  ThreadPool::submit_batch(2, 0, 4,
+                           [&](std::size_t, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   // chunk > count: one range spanning everything, one loop task.
   std::vector<int> seen;
-  std::size_t tasks = pool.submit_batch(
-      3, 100, [&](std::size_t task, std::size_t begin, std::size_t end) {
+  std::size_t tasks = ThreadPool::submit_batch(
+      2, 3, 100, [&](std::size_t task, std::size_t begin, std::size_t end) {
         EXPECT_EQ(task, 0u);
         for (std::size_t i = begin; i < end; ++i) seen.push_back(static_cast<int>(i));
       });
   EXPECT_EQ(tasks, 1u);
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+}
+
+// Counts thread exits: a thread_local's destructor runs when its thread
+// finishes, before a join on that thread returns.
+std::atomic<int> g_loop_thread_exits{0};
+struct ThreadExitProbe {
+  bool armed = false;
+  ~ThreadExitProbe() {
+    if (armed) g_loop_thread_exits.fetch_add(1, std::memory_order_relaxed);
+  }
+};
+thread_local ThreadExitProbe t_exit_probe;
+
+// Fork-join: loop tasks run off the calling thread, and every thread that
+// ran a range has exited (been joined) by the time submit_batch returns —
+// nothing outlives the call.
+TEST(ThreadPoolTest, SubmitBatchJoinsEveryLoopTaskBeforeReturning) {
+  const auto caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::set<std::thread::id> ran_on;
+  std::atomic<int> finished{0};
+  g_loop_thread_exits.store(0);
+  const std::size_t tasks = ThreadPool::submit_batch(
+      3, 6, 1, [&](std::size_t, std::size_t begin, std::size_t) {
+        t_exit_probe.armed = true;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          ran_on.insert(std::this_thread::get_id());
+        }
+        if (begin % 2 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        finished.fetch_add(1, std::memory_order_relaxed);
+      });
+  EXPECT_EQ(tasks, 3u);
+  EXPECT_EQ(finished.load(), 6);
+  EXPECT_EQ(ran_on.count(caller), 0u);
+  EXPECT_EQ(g_loop_thread_exits.load(), static_cast<int>(ran_on.size()));
 }
 
 TEST(ThreadPoolTest, DefaultConcurrencyMatchesAffinityMask) {
@@ -109,20 +112,28 @@ TEST(ThreadPoolTest, DefaultConcurrencyMatchesAffinityMask) {
 #endif
 }
 
-TEST(SimRunnerTest, MapReturnsResultsInIndexOrder) {
-  SimRunner runner(4);
-  auto results = runner.map<std::size_t>(
-      50, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(results.size(), 50u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], i * i);
+TEST(SimRunnerTest, ForEachIndexRunsEveryIndexExactlyOnce) {
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SimRunner runner(jobs);
+    std::vector<std::atomic<int>> hits(50);
+    std::vector<std::size_t> results(50, 0);
+    runner.for_each_index(50, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      results[i] = i * i;
+    });
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "jobs " << jobs << " index " << i;
+      EXPECT_EQ(results[i], i * i) << "jobs " << jobs << " index " << i;
+    }
   }
 }
 
+// The serial run is the reference: the parallel result must not depend on
+// the chunk size or the job count.
 TEST(SimRunnerTest, MapIsIdenticalAtAnyChunkSize) {
-  SimRunner reference(1);
-  auto expected = reference.map<std::size_t>(
-      37, [](std::size_t i) { return i * 3 + 1; });
+  std::vector<std::size_t> expected(37);
+  SimRunner(1).for_each_index(37,
+                              [&expected](std::size_t i) { expected[i] = i * 3 + 1; });
   for (std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
     for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
       SimRunner runner(jobs);
@@ -169,20 +180,6 @@ TEST(SimRunnerTest, ForEachIndexTaskedRethrowsFirstFailureInIndexOrder) {
   }
 }
 
-TEST(SimRunnerTest, RethrowsFirstFailureInLegOrder) {
-  SimRunner runner(4);
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([] {});
-  tasks.push_back([] { throw std::runtime_error("leg 1 failed"); });
-  tasks.push_back([] { throw std::runtime_error("leg 2 failed"); });
-  try {
-    runner.run(tasks);
-    FAIL() << "expected runner.run to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "leg 1 failed");
-  }
-}
-
 // The headline contract: fanning legs over 4 workers yields metrics
 // bit-identical to the serial run, because each leg rebuilds its scenario
 // (and thus its RNG streams) from the same seed.
@@ -192,20 +189,15 @@ TEST(SimRunnerTest, ParallelRunMatchesSerialBitForBit) {
   const std::vector<double> v_values = {2.0, 7.5, 30.0};
 
   auto run_with_jobs = [&](std::size_t jobs) {
-    SimRunner runner(jobs);
     std::vector<std::unique_ptr<SimulationEngine>> engines(v_values.size());
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t leg = 0; leg < v_values.size(); ++leg) {
-      tasks.push_back([&, leg] {
-        PaperScenario scenario = make_paper_scenario(kSeed);
-        auto scheduler = std::make_shared<GreFarScheduler>(
-            scenario.config, paper_grefar_params(v_values[leg], 100.0));
-        auto engine = make_scenario_engine(scenario, std::move(scheduler));
-        engine->run(kHorizon);
-        engines[leg] = std::move(engine);
-      });
-    }
-    runner.run(tasks);
+    SimRunner(jobs).for_each_index(v_values.size(), [&](std::size_t leg) {
+      PaperScenario scenario = make_paper_scenario(kSeed);
+      auto scheduler = std::make_shared<GreFarScheduler>(
+          scenario.config, paper_grefar_params(v_values[leg], 100.0));
+      auto engine = make_scenario_engine(scenario, std::move(scheduler));
+      engine->run(kHorizon);
+      engines[leg] = std::move(engine);
+    });
     return engines;
   };
 
@@ -222,31 +214,6 @@ TEST(SimRunnerTest, ParallelRunMatchesSerialBitForBit) {
     EXPECT_EQ(ms.mean_delay(), mp.mean_delay()) << "leg " << leg;
     EXPECT_EQ(ms.delay_p95(), mp.delay_p95()) << "leg " << leg;
   }
-}
-
-TEST(SimRunnerTest, RunEnginesPreservesMakerOrder) {
-  constexpr std::int64_t kHorizon = 40;
-  std::vector<std::function<std::unique_ptr<SimulationEngine>()>> makers;
-  for (int leg = 0; leg < 2; ++leg) {
-    makers.push_back([leg] {
-      PaperScenario scenario = make_paper_scenario(7);
-      std::shared_ptr<Scheduler> scheduler;
-      if (leg == 0) {
-        scheduler = std::make_shared<GreFarScheduler>(scenario.config,
-                                                      paper_grefar_params(7.5, 0.0));
-      } else {
-        scheduler = std::make_shared<AlwaysScheduler>(scenario.config);
-      }
-      auto engine = make_scenario_engine(scenario, std::move(scheduler));
-      engine->run(kHorizon);
-      return engine;
-    });
-  }
-  SimRunner runner(2);
-  auto engines = runner.run_engines(std::move(makers));
-  ASSERT_EQ(engines.size(), 2u);
-  EXPECT_EQ(engines[0]->scheduler().name().rfind("GreFar", 0), 0u);
-  EXPECT_EQ(engines[1]->scheduler().name(), "Always");
 }
 
 }  // namespace

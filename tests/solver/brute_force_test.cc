@@ -22,7 +22,7 @@ TEST(BruteForce, FindsBoxMinimum) {
 
 TEST(BruteForce, RespectsGroupCap) {
   CappedBoxPolytope p({2.0, 2.0});
-  p.add_group({0, 1}, 1.0);
+  p.add_group(0, 2, 1.0);
   auto result = minimize_brute_force(
       [](const std::vector<double>& x) { return -(x[0] + x[1]); }, p, 21);
   EXPECT_NEAR(result.x[0] + result.x[1], 1.0, 1e-9);

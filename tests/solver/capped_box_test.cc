@@ -22,18 +22,39 @@ TEST(CappedBox, RejectsNegativeBounds) {
 
 TEST(CappedBox, RejectsOverlappingGroups) {
   CappedBoxPolytope p({1.0, 1.0, 1.0});
-  p.add_group({0, 1}, 1.0);
-  EXPECT_THROW(p.add_group({1, 2}, 1.0), ContractViolation);
+  p.add_group(0, 2, 1.0);
+  EXPECT_THROW(p.add_group(1, 3, 1.0), ContractViolation);
+}
+
+// Groups are [begin, end) ranges: a range past dim(), a reversed range, or
+// one that overlaps an existing group in any way is rejected, and a rejected
+// group leaves the polytope unchanged.
+TEST(CappedBox, RejectsGroupRangesOutsideDimOrOverlapping) {
+  CappedBoxPolytope p({1.0, 1.0, 1.0, 1.0});
+  EXPECT_THROW(p.add_group(2, 5, 1.0), ContractViolation);  // past dim()
+  EXPECT_THROW(p.add_group(4, 5, 1.0), ContractViolation);
+  EXPECT_THROW(p.add_group(3, 2, 1.0), ContractViolation);  // reversed
+  p.add_group(1, 3, 0.5);
+  EXPECT_THROW(p.add_group(0, 4, 1.0), ContractViolation);  // superset
+  EXPECT_THROW(p.add_group(2, 3, 1.0), ContractViolation);  // subset
+  EXPECT_THROW(p.add_group(0, 2, 1.0), ContractViolation);  // left overlap
+  EXPECT_EQ(p.num_groups(), 1u);
+  // The rejected ranges marked nothing: the free ends still form groups.
+  p.add_group(0, 1, 1.0);
+  p.add_group(3, 4, 1.0);
+  EXPECT_EQ(p.num_groups(), 3u);
+  EXPECT_TRUE(p.contains({1.0, 0.25, 0.25, 1.0}));
+  EXPECT_FALSE(p.contains({1.0, 0.5, 0.25, 1.0}));  // cap 0.5 on [1, 3)
 }
 
 TEST(CappedBox, RejectsNegativeCap) {
   CappedBoxPolytope p({1.0});
-  EXPECT_THROW(p.add_group({0}, -1.0), ContractViolation);
+  EXPECT_THROW(p.add_group(0, 1, -1.0), ContractViolation);
 }
 
 TEST(CappedBox, ContainsChecksBoxAndCap) {
   CappedBoxPolytope p({2.0, 2.0});
-  p.add_group({0, 1}, 3.0);
+  p.add_group(0, 2, 3.0);
   EXPECT_TRUE(p.contains({1.0, 1.0}));
   EXPECT_TRUE(p.contains({2.0, 1.0}));
   EXPECT_FALSE(p.contains({2.0, 2.0}));  // cap 3 violated
@@ -43,7 +64,7 @@ TEST(CappedBox, ContainsChecksBoxAndCap) {
 
 TEST(CappedBox, ProjectInsideIsIdentity) {
   CappedBoxPolytope p({2.0, 2.0});
-  p.add_group({0, 1}, 3.0);
+  p.add_group(0, 2, 3.0);
   auto x = p.project({0.5, 1.0});
   EXPECT_DOUBLE_EQ(x[0], 0.5);
   EXPECT_DOUBLE_EQ(x[1], 1.0);
@@ -58,7 +79,7 @@ TEST(CappedBox, ProjectClampsBoxOnly) {
 
 TEST(CappedBox, ProjectOntoCapIsSymmetric) {
   CappedBoxPolytope p({10.0, 10.0});
-  p.add_group({0, 1}, 2.0);
+  p.add_group(0, 2, 2.0);
   auto x = p.project({3.0, 3.0});
   EXPECT_NEAR(x[0], 1.0, 1e-7);
   EXPECT_NEAR(x[1], 1.0, 1e-7);
@@ -68,7 +89,7 @@ TEST(CappedBox, ProjectRespectsUpperBoundDuringCapProjection) {
   // y = (5, 0.6), ub = (1, 1), cap = 1.2. Clamping first would give
   // (1, 0.6) -> lambda shift; the true projection is clamp(y - lambda).
   CappedBoxPolytope p({1.0, 1.0});
-  p.add_group({0, 1}, 1.2);
+  p.add_group(0, 2, 1.2);
   auto x = p.project({5.0, 0.6});
   EXPECT_TRUE(p.contains(x, 1e-6));
   EXPECT_NEAR(x[0] + x[1], 1.2, 1e-6);
@@ -81,7 +102,7 @@ TEST(CappedBox, ProjectionIsClosestFeasiblePoint) {
   // Verify the projection property against random feasible points.
   Rng rng(7);
   CappedBoxPolytope p({1.5, 2.0, 1.0});
-  p.add_group({0, 1, 2}, 2.5);
+  p.add_group(0, 3, 2.5);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<double> y{rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 4.0),
                           rng.uniform(-1.0, 4.0)};
@@ -107,7 +128,7 @@ TEST(CappedBox, MinimizeLinearBoxOnly) {
 
 TEST(CappedBox, MinimizeLinearFillsCheapestFirst) {
   CappedBoxPolytope p({2.0, 2.0, 2.0});
-  p.add_group({0, 1, 2}, 3.0);
+  p.add_group(0, 3, 3.0);
   auto x = p.minimize_linear({-3.0, -1.0, -2.0});
   EXPECT_DOUBLE_EQ(x[0], 2.0);  // most negative first
   EXPECT_DOUBLE_EQ(x[2], 1.0);  // then next, fractional at the cap
@@ -116,7 +137,7 @@ TEST(CappedBox, MinimizeLinearFillsCheapestFirst) {
 
 TEST(CappedBox, MinimizeLinearIgnoresNonNegativeCosts) {
   CappedBoxPolytope p({2.0, 2.0});
-  p.add_group({0, 1}, 3.0);
+  p.add_group(0, 2, 3.0);
   auto x = p.minimize_linear({0.0, 1.0});
   EXPECT_DOUBLE_EQ(x[0], 0.0);
   EXPECT_DOUBLE_EQ(x[1], 0.0);
@@ -125,8 +146,8 @@ TEST(CappedBox, MinimizeLinearIgnoresNonNegativeCosts) {
 TEST(CappedBox, MinimizeLinearIsOptimalAgainstRandomFeasiblePoints) {
   Rng rng(21);
   CappedBoxPolytope p({1.0, 2.0, 0.5, 1.5});
-  p.add_group({0, 1}, 1.8);
-  p.add_group({2, 3}, 1.0);
+  p.add_group(0, 2, 1.8);
+  p.add_group(2, 4, 1.0);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> c{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
                           rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
@@ -147,7 +168,7 @@ TEST(CappedBox, MinimizeLinearIsOptimalAgainstRandomFeasiblePoints) {
 
 TEST(CappedBox, ZeroCapGroupPinsToZero) {
   CappedBoxPolytope p({5.0, 5.0});
-  p.add_group({0, 1}, 0.0);
+  p.add_group(0, 2, 0.0);
   auto x = p.project({3.0, 3.0});
   EXPECT_NEAR(x[0], 0.0, 1e-9);
   EXPECT_NEAR(x[1], 0.0, 1e-9);
@@ -160,7 +181,7 @@ TEST(CappedBox, DimensionMismatchIsContractViolation) {
   EXPECT_THROW(p.project({1.0}), ContractViolation);
   EXPECT_THROW(p.minimize_linear({1.0, 2.0, 3.0}), ContractViolation);
   EXPECT_THROW(p.contains({1.0}), ContractViolation);
-  EXPECT_THROW(p.add_group({5}, 1.0), ContractViolation);
+  EXPECT_THROW(p.add_group(5, 6, 1.0), ContractViolation);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(FrankWolfe, InteriorQuadraticMinimum) {
 
 TEST(FrankWolfe, LinearObjectiveReachesVertex) {
   CappedBoxPolytope p({2.0, 2.0});
-  p.add_group({0, 1}, 3.0);
+  p.add_group(0, 2, 3.0);
   LinearObjective obj({-3.0, -1.0});
   auto result = minimize_frank_wolfe(obj, p);
   EXPECT_NEAR(result.x[0], 2.0, 1e-6);
@@ -69,7 +69,7 @@ TEST(FrankWolfe, GapCertifiesOptimality) {
   // Vanilla FW converges O(1/k) toward faces (zigzag), so the certificate is
   // loose but must still bound the suboptimality from above.
   CappedBoxPolytope p({5.0, 5.0});
-  p.add_group({0, 1}, 4.0);
+  p.add_group(0, 2, 4.0);
   QuadraticObjective obj({3.0, 3.0});
   auto result = minimize_frank_wolfe(obj, p);
   EXPECT_LE(result.gap, 0.05);
@@ -85,7 +85,7 @@ TEST(FrankWolfe, AgreesWithPgdOnRandomQuadratics) {
                                rng.uniform(-1.0, 3.0)};
     QuadraticObjective obj(target);
     CappedBoxPolytope p({2.0, 1.0, 1.5});
-    p.add_group({0, 1, 2}, rng.uniform(1.0, 4.0));
+    p.add_group(0, 3, rng.uniform(1.0, 4.0));
     auto fw = minimize_frank_wolfe(obj, p);
     auto pgd = minimize_projected_gradient(obj, p);
     EXPECT_NEAR(fw.objective, pgd.objective, 2e-3) << "trial " << trial;
@@ -95,7 +95,7 @@ TEST(FrankWolfe, AgreesWithPgdOnRandomQuadratics) {
 TEST(FrankWolfe, MatchesBruteForce) {
   QuadraticObjective obj({0.8, 1.3});
   CappedBoxPolytope p({1.0, 1.0});
-  p.add_group({0, 1}, 1.5);
+  p.add_group(0, 2, 1.5);
   auto fw = minimize_frank_wolfe(obj, p);
   auto brute = minimize_brute_force(
       [&](const std::vector<double>& x) { return obj.value(x); }, p, 41);

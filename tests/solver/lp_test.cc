@@ -348,7 +348,7 @@ TEST(Simplex, RandomCappedBoxLpsMatchBruteForce) {
     ASSERT_TRUE(sol.optimal());
 
     CappedBoxPolytope p(ub);
-    p.add_group({0, 1, 2}, cap);
+    p.add_group(0, 3, cap);
     auto brute = minimize_brute_force(
         [&](const std::vector<double>& x) {
           return c[0] * x[0] + c[1] * x[1] + c[2] * x[2];

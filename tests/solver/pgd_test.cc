@@ -95,7 +95,7 @@ TEST(Pgd, BoxActiveAtOptimum) {
 
 TEST(Pgd, CapActiveAtOptimum) {
   CappedBoxPolytope p({5.0, 5.0});
-  p.add_group({0, 1}, 2.0);
+  p.add_group(0, 2, 2.0);
   QuadraticObjective obj({3.0, 3.0});
   auto result = minimize_projected_gradient(obj, p);
   EXPECT_NEAR(result.x[0], 1.0, 1e-5);
@@ -104,7 +104,7 @@ TEST(Pgd, CapActiveAtOptimum) {
 
 TEST(Pgd, StartingPointDoesNotChangeOptimum) {
   CappedBoxPolytope p({4.0, 4.0});
-  p.add_group({0, 1}, 5.0);
+  p.add_group(0, 2, 5.0);
   QuadraticObjective obj({1.0, 2.0});
   auto a = minimize_projected_gradient(obj, p, {0.0, 0.0});
   auto b = minimize_projected_gradient(obj, p, {4.0, 1.0});
@@ -118,7 +118,7 @@ TEST(Pgd, MatchesBruteForceOnMixedObjective) {
                                rng.uniform(-2.0, 1.0)};
     MixedObjective obj(slopes, 1.5, 0.3);
     CappedBoxPolytope p({1.0, 1.5, 2.0});
-    p.add_group({0, 1, 2}, rng.uniform(1.0, 3.5));
+    p.add_group(0, 3, rng.uniform(1.0, 3.5));
 
     auto pgd = minimize_projected_gradient(obj, p);
     auto brute = minimize_brute_force(
