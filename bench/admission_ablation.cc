@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     auto scheduler = std::make_shared<GreFarScheduler>(
         scenario.config, paper_grefar_params(V, beta),
         PerSlotSolver::kProjectedGradient);
-    return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+    return make_scenario_engine(scenario, std::move(scheduler), audit);
   }, &obs);
 
   SummaryTable table({"policy", "offered jobs", "admitted jobs",

@@ -143,9 +143,15 @@ void parse_or_exit(CliParser& cli, int argc, char** argv) {
   }
   // Every common-options binary simulates at least one slot; a zero or
   // negative horizon would only trip a contract check deep in a model.
-  if (cli.has_option("horizon") && cli.get_int("horizon") < 1) {
-    exit_usage_error(cli, "--horizon must be >= 1, got " + cli.get_string("horizon"));
+  if (cli.has_option("horizon")) positive_int_or_exit(cli, "horizon");
+}
+
+std::int64_t positive_int_or_exit(const CliParser& cli, const std::string& name) {
+  const std::int64_t value = cli.get_int(name);
+  if (value < 1) {
+    exit_usage_error(cli, "--" + name + " must be >= 1, got " + cli.get_string(name));
   }
+  return value;
 }
 
 std::string render_chart(const std::string& title, const std::string& y_label,

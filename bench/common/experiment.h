@@ -133,6 +133,9 @@ std::vector<sweep::SweepLegResult> run_sweep_spec(const sweep::SweepSpec& spec,
 /// When the common options are registered, also rejects --horizon < 1.
 void parse_or_exit(CliParser& cli, int argc, char** argv);
 
+/// Returns integer option `name`; exit_usage_error unless it is >= 1.
+std::int64_t positive_int_or_exit(const CliParser& cli, const std::string& name);
+
 /// Renders `series` (already running-averaged if desired) as an ASCII chart.
 std::string render_chart(const std::string& title, const std::string& y_label,
                          std::vector<TimeSeries> series, std::int64_t horizon);

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
         scenario,
         std::make_shared<GreFarScheduler>(scenario.config,
                                           paper_grefar_params(7.5, 0.0)),
-        {}, audit);
+        audit);
     obs.attach_tracer(*engine);
     engine->run(horizon);
   }

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   parse_or_exit(cli, argc, argv);
   const auto horizon = cli.get_int("horizon");
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto num_seeds = cli.get_int("num-seeds");
+  const auto num_seeds = positive_int_or_exit(cli, "num-seeds");
   const double V = cli.get_double("V");
   const double beta = cli.get_double("beta");
   const auto jobs = jobs_from_cli(cli);

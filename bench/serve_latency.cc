@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
 
   const auto horizon = cli.get_int("horizon");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto num_dcs = static_cast<std::size_t>(cli.get_int("dcs"));
-  const auto num_types = static_cast<std::size_t>(cli.get_int("types"));
+  const auto num_dcs = static_cast<std::size_t>(positive_int_or_exit(cli, "dcs"));
+  const auto num_types = static_cast<std::size_t>(positive_int_or_exit(cli, "types"));
   AuditMode audit = audit_from_cli(cli);
   if (audit == AuditMode::kAuto) {
 #ifdef NDEBUG

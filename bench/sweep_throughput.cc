@@ -12,11 +12,9 @@
 // (energy-cost and fairness series hashed bit-for-bit, plus the headline
 // scalars) is compared exactly and any mismatch fails the run. Throughput is
 // reported as legs/sec for both passes; --min-speedup turns the ratio into a
-// gate. Two more passes characterize the arena:
+// gate. One more pass characterizes the arena:
 //
-//   C  warm starts on (LP solver, innermost V axis) — hit counters only,
-//      warm results are deliberately NOT compared bitwise (see §16);
-//   D  pass B's spec re-run on the *same* SweepEngine with a counting
+//   C  pass B's spec re-run on the *same* SweepEngine with a counting
 //      operator new — steady-state allocations per leg, the number
 //      BENCH_baseline.json's "allocs_per_leg" section locks in.
 #include <algorithm>
@@ -35,7 +33,6 @@
 
 #include "common/experiment.h"
 #include "core/grefar.h"
-#include "obs/counters.h"
 #include "stats/summary_table.h"
 #include "util/strings.h"
 
@@ -151,8 +148,8 @@ int main(int argc, char** argv) {
   parse_or_exit(cli, argc, argv);
   const auto horizon = cli.get_int("horizon");
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto num_seeds = static_cast<std::size_t>(cli.get_int("seeds"));
-  const auto v_count = static_cast<std::size_t>(cli.get_int("v-count"));
+  const auto num_seeds = static_cast<std::size_t>(positive_int_or_exit(cli, "seeds"));
+  const auto v_count = static_cast<std::size_t>(positive_int_or_exit(cli, "v-count"));
   const auto chunk = static_cast<std::size_t>(cli.get_int("chunk"));
   const double min_speedup = cli.get_double("min-speedup");
   const auto audit_stride = static_cast<std::size_t>(cli.get_int("audit-stride"));
@@ -219,7 +216,7 @@ int main(int argc, char** argv) {
       PaperScenario scenario = make_paper_scenario(leg_seed(leg));
       auto scheduler = std::make_shared<GreFarScheduler>(
           scenario.config, paper_grefar_params(leg_v(leg), 0.0));
-      return make_scenario_engine(scenario, std::move(scheduler), {}, audit);
+      return make_scenario_engine(scenario, std::move(scheduler), audit);
     });
     for (std::size_t leg = 0; leg < num_legs; ++leg) {
       fp_rebuild[leg] = fingerprint(result.engines[leg]->metrics());
@@ -229,7 +226,7 @@ int main(int argc, char** argv) {
     rebuild_ms = std::min(rebuild_ms, wall);
   }
 
-  // -- pass B: the sweep engine (shared artifacts + arena reuse, no warm) ----
+  // -- pass B: the sweep engine (shared artifacts + arena reuse) -------------
   sweep::SweepOptions sweep_options;
   sweep_options.jobs = jobs;
   sweep_options.chunk_size = chunk;
@@ -291,37 +288,7 @@ int main(int argc, char** argv) {
             << stats.unique_scenarios << " unique scenarios materialized, "
             << stats.workers << " workers, chunk " << stats.chunk << ")\n";
 
-  // -- pass C: warm starts along the V axis (LP solver), counters only -------
-  {
-    sweep::SweepSpec warm_spec = spec;
-    warm_spec.plan = [&](const sweep::SweepPoint& p) {
-      sweep::LegPlan plan;
-      plan.scenario_key = "paper/seed=" + std::to_string(leg_seed(p.leg));
-      plan.grefar = sweep::GreFarLegSpec{paper_grefar_params(leg_v(p.leg), 0.0),
-                                         PerSlotSolver::kLp};
-      return plan;
-    };
-    sweep::SweepOptions warm_options = sweep_options;
-    warm_options.warm_start = true;
-    sweep::SweepEngine warm_engine(warm_options);
-    obs::CounterRegistry warm_counters;
-    const double t0 = now_ms();
-    {
-      obs::CountersScope scope(&warm_counters);
-      warm_engine.run(warm_spec, [](std::size_t, SimulationEngine&) {});
-    }
-    const double warm_ms = now_ms() - t0;
-    std::cout << "\n-- pass C: warm starts (LP solver, V innermost; not "
-                 "bitwise vs cold) --\n"
-              << "wall ms: " << format_fixed(warm_ms, 1)
-              << ", warm legs: " << warm_counters.counter("sweep.warm_start_legs")
-              << "/" << num_legs << ", solver-state carries: "
-              << warm_counters.counter("sweep.warm_start_carry")
-              << ", simplex warm starts: "
-              << warm_counters.counter("per_slot.lp_warm_starts") << "\n";
-  }
-
-  // -- pass D: steady-state allocations per leg on the reused engine ---------
+  // -- pass C: steady-state allocations per leg on the reused engine ---------
   // Pass B left `engine` with fully-grown arenas and a hot artifact cache;
   // re-running the same spec is the steady state the allocs-per-leg guard
   // (tests/check/alloc_regression_test.cc) locks in. The count includes the

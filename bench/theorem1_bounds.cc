@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "common/experiment.h"
 #include "util/strings.h"
@@ -48,7 +49,11 @@ int main(int argc, char** argv) {
   parse_or_exit(cli, argc, argv);
   const auto horizon = cli.get_int("horizon");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto T = cli.get_int("T");
+  const auto T = positive_int_or_exit(cli, "T");
+  if (horizon < T) {
+    exit_usage_error(cli, "--horizon must be >= --T (" + std::to_string(T) + "), got " +
+                              std::to_string(horizon));
+  }
   const auto jobs = jobs_from_cli(cli);
 
   ObsSession obs(cli);

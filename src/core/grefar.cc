@@ -4,12 +4,22 @@
 #include <cmath>
 #include <numeric>
 
-#include "obs/counters.h"
 #include "obs/trace_scope.h"
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace grefar {
+
+namespace {
+void check_params(const GreFarParams& params, PerSlotSolver solver) {
+  GREFAR_CHECK(params.V >= 0.0);
+  GREFAR_CHECK(params.beta >= 0.0);
+  GREFAR_CHECK_MSG(!(params.beta > 0.0 &&
+                     (solver == PerSlotSolver::kGreedy || solver == PerSlotSolver::kLp)),
+                   "greedy/lp per-slot solvers ignore the fairness term; "
+                   "use Frank-Wolfe or PGD when beta > 0");
+}
+}  // namespace
 
 GreFarScheduler::GreFarScheduler(ClusterConfig config, GreFarParams params)
     : GreFarScheduler(std::make_shared<const ClusterConfig>(std::move(config)),
@@ -31,23 +41,12 @@ GreFarScheduler::GreFarScheduler(std::shared_ptr<const ClusterConfig> config,
     : config_(std::move(config)), params_(params), solver_(solver) {
   GREFAR_CHECK_MSG(config_ != nullptr, "GreFarScheduler needs a cluster config");
   config_->validate();
-  GREFAR_CHECK(params_.V >= 0.0);
-  GREFAR_CHECK(params_.beta >= 0.0);
-  GREFAR_CHECK_MSG(!(params_.beta > 0.0 &&
-                     (solver_ == PerSlotSolver::kGreedy || solver_ == PerSlotSolver::kLp)),
-                   "greedy/lp per-slot solvers ignore the fairness term; "
-                   "use Frank-Wolfe or PGD when beta > 0");
+  check_params(params_, solver_);
   for (const JobType& jt : config_->job_types) eligible_pairs_ += jt.eligible_dcs.size();
 }
 
-void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver,
-                                bool keep_warm) {
-  GREFAR_CHECK(params.V >= 0.0);
-  GREFAR_CHECK(params.beta >= 0.0);
-  GREFAR_CHECK_MSG(!(params.beta > 0.0 &&
-                     (solver == PerSlotSolver::kGreedy || solver == PerSlotSolver::kLp)),
-                   "greedy/lp per-slot solvers ignore the fairness term; "
-                   "use Frank-Wolfe or PGD when beta > 0");
+void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver) {
+  check_params(params, solver);
   params_ = params;
   solver_ = solver;
   if (problem_.has_value()) problem_->rebind_params(params_);
@@ -61,26 +60,16 @@ void GreFarScheduler::begin_run(const GreFarParams& params, PerSlotSolver solver
   routed_obs_.dc_queue.fill(0.0);
   prev_live_.clear();
 
-  if (keep_warm) {
-    if (solver_scratch_.prev_valid || solver_scratch_.lp_basis_valid) {
-      obs::count("sweep.warm_start_carry");
-    }
-    solver_scratch_.lp_warm_enabled = solver_ == PerSlotSolver::kLp;
-  } else {
-    solver_scratch_.prev_valid = false;
-    solver_scratch_.lp_warm_enabled = false;
-    solver_scratch_.lp_basis_valid = false;
-    // Cold leg start: drop the content-keyed per-DC caches so a reused
-    // scheduler sorts demands and rebuilds pieces exactly where a fresh one
-    // would. The caches never change decisions (they are keyed on the raw
-    // rows), but carrying them across legs would make the per_slot.*
-    // efficiency counters depend on which arena a leg landed on — and the
-    // leg→arena mapping under the dynamic ticket scheduler is not
-    // deterministic.
-    for (auto& key : solver_scratch_.cached_qv) key.clear();
-    for (auto& key : solver_scratch_.cached_avail) key.clear();
-    solver_scratch_.cache_types.clear();
-  }
+  solver_scratch_.prev_valid = false;
+  // Drop the content-keyed per-DC caches so a reused scheduler sorts
+  // demands and rebuilds pieces exactly where a fresh one would. The caches
+  // never change decisions (they are keyed on the raw rows), but carrying
+  // them across legs would make the per_slot.* efficiency counters depend
+  // on which arena a leg landed on — and the leg→arena mapping under the
+  // dynamic ticket scheduler is not deterministic.
+  for (auto& key : solver_scratch_.cached_qv) key.clear();
+  for (auto& key : solver_scratch_.cached_avail) key.clear();
+  solver_scratch_.cache_types.clear();
 }
 
 std::string GreFarScheduler::name() const {

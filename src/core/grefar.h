@@ -31,8 +31,8 @@ namespace grefar {
 
 class GreFarScheduler final : public Scheduler {
  public:
-  /// `solver` defaults to the exact greedy when beta == 0 and Frank-Wolfe
-  /// otherwise; pass explicitly to ablate.
+  /// `solver` defaults to the exact greedy when beta == 0 and projected
+  /// gradient otherwise; pass explicitly to ablate.
   GreFarScheduler(ClusterConfig config, GreFarParams params);
   GreFarScheduler(ClusterConfig config, GreFarParams params, PerSlotSolver solver);
   /// Shared-config overloads: a million-account ClusterConfig weighs ~10^2
@@ -47,16 +47,10 @@ class GreFarScheduler final : public Scheduler {
   /// constructor, rebinds the cached per-slot problem's parameters, and
   /// invalidates all cross-slot sparse-action bookkeeping, so the next
   /// decide produces bitwise the same actions as a fresh scheduler's.
-  /// Piece/demand caches in the solver scratch are *kept*: they are keyed on
-  /// byte-equal inputs, so a hit reproduces the rebuild exactly.
-  ///
-  /// `keep_warm` = cross-leg warm starts (perf mode, not bitwise vs cold):
-  /// the previous leg's FW/PGD iterate stays seeded (prev_valid survives)
-  /// and the LP path re-enters the previous leg's simplex basis. Only sound
-  /// when the adjacent leg shares the scenario and cluster config — the
-  /// SweepEngine gates it on exactly that.
-  void begin_run(const GreFarParams& params, PerSlotSolver solver,
-                 bool keep_warm = false);
+  /// The FW/PGD warm start and the content-keyed piece/demand caches are
+  /// dropped too, so a reused scheduler also counts per_slot.* cache events
+  /// exactly like a fresh one.
+  void begin_run(const GreFarParams& params, PerSlotSolver solver);
 
   SlotAction decide(const SlotObservation& obs) override;
   /// The hot path: after the first slot every per-slot structure (the

@@ -352,30 +352,9 @@ void solve_per_slot_into(const PerSlotProblem& problem, PerSlotSolver solver,
       if (scratch != nullptr) save_iterative_solution(problem, u, *scratch);
       return;
     }
-    case PerSlotSolver::kLp: {
-      if (scratch != nullptr && scratch->lp_warm_enabled) {
-        // Warm mode (opt-in, GreFarScheduler::begin_run keep_warm): re-enter
-        // the previous solve's basis — same optimum, not bitwise the same
-        // vertex, so this never runs under a bitwise-equality contract.
-        LinearProgram lp = build_per_slot_lp(problem);
-        LpSolution sol;
-        if (scratch->lp_basis_valid) {
-          obs::count("per_slot.lp_warm_starts");
-          sol = solve_lp(lp, scratch->lp_basis);
-        } else {
-          sol = solve_lp(lp);
-        }
-        GREFAR_CHECK_MSG(sol.optimal(),
-                         "per-slot LP not optimal: " << to_string(sol.status));
-        u.assign(sol.x.begin(), sol.x.begin() +
-                                    static_cast<std::ptrdiff_t>(problem.num_vars()));
-        scratch->lp_basis = std::move(sol.basis);
-        scratch->lp_basis_valid = scratch->lp_basis.valid();
-        return;
-      }
+    case PerSlotSolver::kLp:
       u = solve_per_slot_lp(problem);
       return;
-    }
   }
   GREFAR_CHECK_MSG(false, "unreachable per-slot solver");
 }

@@ -77,14 +77,6 @@ struct PerSlotSolverScratch {
   bool prev_valid = false;
   std::vector<std::uint32_t> prev_types;
   std::vector<std::uint32_t> warm_map;  // remap scratch (active -> prev col)
-  /// Opt-in simplex warm starts for the kLp path (cross-slot / cross-leg
-  /// basis reuse, GreFarScheduler::begin_run keep_warm mode). Off by
-  /// default: a warm phase-2 re-entry converges to the same optimum but not
-  /// bitwise the same vertex, so the cold path stays the reference and every
-  /// bitwise-equality contract runs with this flag clear.
-  bool lp_warm_enabled = false;
-  SimplexBasis lp_basis;
-  bool lp_basis_valid = false;
 };
 
 /// Exact greedy for beta = 0 (the fairness term, if any, is ignored).

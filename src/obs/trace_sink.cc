@@ -4,30 +4,19 @@
 
 namespace grefar::obs {
 
-TraceSink::TraceSink(Options options) : options_(std::move(options)) {
-  if (!options_.path.empty()) {
-    file_.open(options_.path, std::ios::out | std::ios::trunc);
-    GREFAR_CHECK_MSG(file_.is_open(),
-                     "cannot open trace file '" << options_.path << "' for writing");
-  }
+TraceSink::TraceSink(Options options) : path_(std::move(options.path)) {
+  GREFAR_CHECK_MSG(!path_.empty(), "TraceSink needs an output path");
+  file_.open(path_, std::ios::out | std::ios::trunc);
+  GREFAR_CHECK_MSG(file_.is_open(), "cannot open trace file '" << path_ << "' for writing");
 }
 
 TraceSink::~TraceSink() { flush(); }
 
 void TraceSink::write(const JsonValue& record) {
-  std::string line = record.dump();  // serialize outside the lock
+  const std::string line = record.dump();  // serialize outside the lock
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_.is_open()) file_ << line << '\n';
-  if (options_.ring_capacity > 0) {
-    if (ring_.size() == options_.ring_capacity) ring_.pop_front();
-    ring_.push_back(std::move(line));
-  }
+  file_ << line << '\n';
   ++records_written_;
-}
-
-std::vector<std::string> TraceSink::ring() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
 }
 
 std::uint64_t TraceSink::records_written() const {
@@ -37,7 +26,7 @@ std::uint64_t TraceSink::records_written() const {
 
 void TraceSink::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_.is_open()) file_.flush();
+  file_.flush();
 }
 
 }  // namespace grefar::obs

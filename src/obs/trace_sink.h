@@ -1,21 +1,15 @@
 // TraceSink: where structured slot records go.
 //
 // One sink serves a whole run (or a whole sweep): records are serialized as
-// compact single-line JSON and (a) appended to a JSONL file when a path is
-// configured, and (b) kept in a bounded in-memory ring buffer so tests and
-// in-process tools can inspect the most recent records without touching the
-// filesystem. Writes are mutex-guarded — several engines may share a sink —
-// and serialization happens outside the lock.
+// compact single-line JSON and appended to a JSONL file. Writes are
+// mutex-guarded — several engines may share a sink — and serialization
+// happens outside the lock.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/json.h"
 
@@ -24,10 +18,8 @@ namespace grefar::obs {
 class TraceSink {
  public:
   struct Options {
-    /// JSONL output path; empty keeps records in memory only.
+    /// JSONL output path (required).
     std::string path;
-    /// How many of the most recent serialized records the ring retains.
-    std::size_t ring_capacity = 256;
   };
 
   explicit TraceSink(Options options);
@@ -36,21 +28,17 @@ class TraceSink {
   /// Serializes `record` (compact) and appends it as one JSONL line.
   void write(const JsonValue& record);
 
-  /// Snapshot of the ring buffer, oldest first.
-  std::vector<std::string> ring() const;
-
   std::uint64_t records_written() const;
 
   /// Flushes the file stream (called by the destructor too).
   void flush();
 
-  const std::string& path() const { return options_.path; }
+  const std::string& path() const { return path_; }
 
  private:
-  Options options_;
+  std::string path_;
   mutable std::mutex mutex_;
   std::ofstream file_;
-  std::deque<std::string> ring_;
   std::uint64_t records_written_ = 0;
 };
 

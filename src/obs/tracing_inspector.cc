@@ -24,11 +24,11 @@ JsonValue array_of(const std::vector<std::int64_t>& values) {
   return out;
 }
 
-// Dense array up to `threshold` entries; past it, a sparse object over the
-// non-zero entries (see TracingInspectorOptions::sparse_array_threshold).
+// Dense array up to kSparseArrayThreshold entries; past it, a sparse object
+// over the non-zero entries.
 template <typename T>
-JsonValue sparse_or_dense(const std::vector<T>& values, std::size_t threshold) {
-  if (values.size() <= threshold) return array_of(values);
+JsonValue sparse_or_dense(const std::vector<T>& values) {
+  if (values.size() <= kSparseArrayThreshold) return array_of(values);
   JsonArray idx;
   JsonArray val;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -44,14 +44,14 @@ JsonValue sparse_or_dense(const std::vector<T>& values, std::size_t threshold) {
   return JsonValue(std::move(o));
 }
 
-// Rows as dense arrays up to `threshold` columns; past it each row becomes
-// the same {"n", "idx", "val"} sparse object as the long vectors above (at
-// J = 10^6 a dense row dump would dwarf the trace).
-JsonValue rows_of(const MatrixD& m, std::size_t threshold) {
+// Rows as dense arrays up to kSparseArrayThreshold columns; past it each row
+// becomes the same {"n", "idx", "val"} sparse object as the long vectors
+// above (at J = 10^6 a dense row dump would dwarf the trace).
+JsonValue rows_of(const MatrixD& m) {
   JsonArray rows;
   rows.reserve(m.rows());
   for (std::size_t i = 0; i < m.rows(); ++i) {
-    if (m.cols() <= threshold) {
+    if (m.cols() <= kSparseArrayThreshold) {
       JsonArray row;
       row.reserve(m.cols());
       for (std::size_t j = 0; j < m.cols(); ++j) row.emplace_back(m(i, j));
@@ -77,9 +77,8 @@ JsonValue rows_of(const MatrixD& m, std::size_t threshold) {
 
 }  // namespace
 
-TracingInspector::TracingInspector(std::shared_ptr<TraceSink> sink,
-                                   TracingInspectorOptions options)
-    : sink_(std::move(sink)), options_(options) {
+TracingInspector::TracingInspector(std::shared_ptr<TraceSink> sink)
+    : sink_(std::move(sink)) {
   GREFAR_CHECK(sink_ != nullptr);
 }
 
@@ -88,9 +87,8 @@ void TracingInspector::inspect(const SlotRecord& record) {
                record.routed != nullptr && record.served_work != nullptr);
   JsonObject root;
   root.emplace("slot", static_cast<double>(record.slot));
-  const std::size_t sparse_at = options_.sparse_array_threshold;
   root.emplace("prices", array_of(record.obs->prices));
-  root.emplace("central_queue", sparse_or_dense(record.obs->central_queue, sparse_at));
+  root.emplace("central_queue", sparse_or_dense(record.obs->central_queue));
   if (record.dc_capacity != nullptr) {
     root.emplace("dc_capacity", array_of(*record.dc_capacity));
   }
@@ -104,14 +102,14 @@ void TracingInspector::inspect(const SlotRecord& record) {
     root.emplace("dc_delay_sum", array_of(*record.dc_delay_sum));
   }
   if (record.account_work != nullptr) {
-    root.emplace("account_work", sparse_or_dense(*record.account_work, sparse_at));
+    root.emplace("account_work", sparse_or_dense(*record.account_work));
   }
   root.emplace("fairness", record.fairness);
   if (record.arrivals != nullptr) {
-    root.emplace("arrivals", sparse_or_dense(*record.arrivals, sparse_at));
+    root.emplace("arrivals", sparse_or_dense(*record.arrivals));
   }
   if (record.central_after != nullptr) {
-    root.emplace("central_after", sparse_or_dense(*record.central_after, sparse_at));
+    root.emplace("central_after", sparse_or_dense(*record.central_after));
   }
   if (record.admission_active) {
     // Admission / value economics block (workload/admission.h): emitted only
@@ -119,7 +117,7 @@ void TracingInspector::inspect(const SlotRecord& record) {
     // plain traces keep their pre-admission shape byte-for-byte.
     JsonObject adm;
     if (record.offered != nullptr) {
-      adm.emplace("offered", sparse_or_dense(*record.offered, sparse_at));
+      adm.emplace("offered", sparse_or_dense(*record.offered));
     }
     adm.emplace("admitted_value", record.admitted_value);
     adm.emplace("rejected_value", record.rejected_value);
@@ -133,15 +131,13 @@ void TracingInspector::inspect(const SlotRecord& record) {
                 static_cast<double>(record.deadline_violations));
     root.emplace("admission", JsonValue(std::move(adm)));
   }
-  if (options_.include_matrices) {
-    root.emplace("dc_queue", rows_of(record.obs->dc_queue, sparse_at));
-    root.emplace("route_ask", rows_of(record.action->route, sparse_at));
-    root.emplace("process_ask", rows_of(record.action->process, sparse_at));
-    root.emplace("routed", rows_of(*record.routed, sparse_at));
-    root.emplace("served_work", rows_of(*record.served_work, sparse_at));
-    if (record.dc_after != nullptr) {
-      root.emplace("dc_after", rows_of(*record.dc_after, sparse_at));
-    }
+  root.emplace("dc_queue", rows_of(record.obs->dc_queue));
+  root.emplace("route_ask", rows_of(record.action->route));
+  root.emplace("process_ask", rows_of(record.action->process));
+  root.emplace("routed", rows_of(*record.routed));
+  root.emplace("served_work", rows_of(*record.served_work));
+  if (record.dc_after != nullptr) {
+    root.emplace("dc_after", rows_of(*record.dc_after));
   }
   if (record.scope != nullptr) {
     const TraceScope& scope = *record.scope;

@@ -5,14 +5,20 @@
 // routed/served, per-DC capacity and billed energy, per-account work,
 // fairness, completions, post-slot queues — plus scheduler-internal
 // annotations (TraceScope: tie-group splits, drift-weight signs) when the
-// scheduler filled any. Records go to a shared TraceSink (JSONL file and/or
-// in-memory ring).
+// scheduler filled any. Records go to a shared TraceSink (a JSONL file).
+//
+// Per-type / per-account vectors longer than kSparseArrayThreshold — and
+// matrix rows with more columns than that — are emitted in sparse form,
+// {"n": length, "idx": [...], "val": [...]} over the non-zero entries,
+// instead of a dense array. At a million accounts a dense per-slot array
+// would dwarf the trace; every small scenario keeps dense records.
 //
 // The serialization is deterministic: JsonObject keys are ordered and every
 // number comes from the deterministic simulation state, so two runs of the
 // same seed produce byte-identical traces (pinned by tests/obs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,24 +28,11 @@
 
 namespace grefar::obs {
 
-struct TracingInspectorOptions {
-  /// Include the N x J matrices (ask, routed, served, post-slot queues).
-  /// Off keeps records small for long horizons at the cost of per-(i,j)
-  /// detail; the per-DC and per-account aggregates are always emitted.
-  bool include_matrices = true;
-  /// Per-type / per-account vectors longer than this — and matrix rows with
-  /// more columns than this — are emitted in sparse form, {"n": length,
-  /// "idx": [...], "val": [...]} over the non-zero entries, instead of a
-  /// dense array. At a million accounts a dense per-slot array would dwarf
-  /// the trace; at the default threshold every existing (small) scenario
-  /// keeps its dense byte-identical records.
-  std::size_t sparse_array_threshold = 4096;
-};
+inline constexpr std::size_t kSparseArrayThreshold = 4096;
 
 class TracingInspector final : public SlotInspector {
  public:
-  explicit TracingInspector(std::shared_ptr<TraceSink> sink,
-                            TracingInspectorOptions options = {});
+  explicit TracingInspector(std::shared_ptr<TraceSink> sink);
 
   void inspect(const SlotRecord& record) override;
 
@@ -48,7 +41,6 @@ class TracingInspector final : public SlotInspector {
 
  private:
   std::shared_ptr<TraceSink> sink_;
-  TracingInspectorOptions options_;
   std::int64_t slots_traced_ = 0;
 };
 

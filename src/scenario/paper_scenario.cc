@@ -132,10 +132,10 @@ PaperScenario make_small_scenario(std::uint64_t seed) {
 
 std::unique_ptr<SimulationEngine> make_scenario_engine(
     const PaperScenario& scenario, std::shared_ptr<Scheduler> scheduler,
-    EngineOptions options, AuditMode audit) {
+    AuditMode audit) {
   auto engine = std::make_unique<SimulationEngine>(
       scenario.config, scenario.prices, scenario.availability, scenario.arrivals,
-      std::move(scheduler), options);
+      std::move(scheduler));
   if (scenario.admission != nullptr) {
     engine->set_admission_policy(scenario.admission);
   }
@@ -158,8 +158,8 @@ std::unique_ptr<SimulationEngine> make_scenario_engine(
 std::unique_ptr<SimulationEngine> run_scenario(const PaperScenario& scenario,
                                                std::shared_ptr<Scheduler> scheduler,
                                                std::int64_t horizon,
-                                               EngineOptions options, AuditMode audit) {
-  auto engine = make_scenario_engine(scenario, std::move(scheduler), options, audit);
+                                               AuditMode audit) {
+  auto engine = make_scenario_engine(scenario, std::move(scheduler), audit);
   engine->run(horizon);
   return engine;
 }

@@ -59,7 +59,7 @@ ServiceLoop::ServiceLoop(std::shared_ptr<const ClusterConfig> config,
                                             valued_);
   engine_ = std::make_unique<SimulationEngine>(
       config_, feed_->price_model(), std::move(availability),
-      feed_->arrival_process(), std::move(scheduler), options_.engine);
+      feed_->arrival_process(), std::move(scheduler));
   if (options_.admission != nullptr) {
     engine_->set_admission_policy(options_.admission);
   }

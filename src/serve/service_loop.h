@@ -46,7 +46,6 @@ struct ServiceLoopOptions {
   /// Optional admission policy screening each staged arrival batch before
   /// it enters the central queues (nullptr = admit everything).
   std::shared_ptr<AdmissionPolicy> admission;
-  EngineOptions engine;
 };
 
 struct ServiceStats {

@@ -11,65 +11,25 @@
 
 namespace grefar {
 
-namespace {
-/// Null-checks the shared config before the member-init list dereferences it.
-std::shared_ptr<const ClusterConfig> require_config(
-    std::shared_ptr<const ClusterConfig> config) {
-  GREFAR_CHECK_MSG(config != nullptr, "SimulationEngine needs a cluster config");
-  return config;
-}
-}  // namespace
-
 SimulationEngine::SimulationEngine(ClusterConfig config,
                                    std::shared_ptr<const PriceModel> prices,
                                    std::shared_ptr<const AvailabilityModel> availability,
                                    std::shared_ptr<const ArrivalProcess> arrivals,
-                                   std::shared_ptr<Scheduler> scheduler,
-                                   EngineOptions options)
+                                   std::shared_ptr<Scheduler> scheduler)
     : SimulationEngine(std::make_shared<const ClusterConfig>(std::move(config)),
                        std::move(prices), std::move(availability),
-                       std::move(arrivals), std::move(scheduler), options) {}
+                       std::move(arrivals), std::move(scheduler)) {}
 
+// fairness_fn_ and metrics_ have no empty state; these 1-account
+// placeholders are replaced by reset(), which binds the real config.
 SimulationEngine::SimulationEngine(std::shared_ptr<const ClusterConfig> config,
                                    std::shared_ptr<const PriceModel> prices,
                                    std::shared_ptr<const AvailabilityModel> availability,
                                    std::shared_ptr<const ArrivalProcess> arrivals,
-                                   std::shared_ptr<Scheduler> scheduler,
-                                   EngineOptions options)
-    : config_(require_config(std::move(config))),
-      prices_(std::move(prices)),
-      availability_(std::move(availability)),
-      arrivals_(std::move(arrivals)),
-      scheduler_(std::move(scheduler)),
-      options_(options),
-      fairness_fn_(config_->gammas()),
-      metrics_(config_->num_data_centers(), config_->num_accounts()) {
-  config_->validate();
-  GREFAR_CHECK(prices_ != nullptr && availability_ != nullptr &&
-               arrivals_ != nullptr && scheduler_ != nullptr);
-  GREFAR_CHECK_MSG(prices_->num_data_centers() == config_->num_data_centers(),
-                   "price model covers " << prices_->num_data_centers()
-                                         << " DCs, cluster has "
-                                         << config_->num_data_centers());
-  GREFAR_CHECK_MSG(availability_->num_data_centers() == config_->num_data_centers(),
-                   "availability model DC count mismatch");
-  GREFAR_CHECK_MSG(availability_->num_server_types() == config_->num_server_types(),
-                   "availability model server-type count mismatch");
-  GREFAR_CHECK_MSG(arrivals_->num_job_types() == config_->num_job_types(),
-                   "arrival process job-type count mismatch");
-
-  central_.reserve(config_->num_job_types());
-  for (const auto& jt : config_->job_types) central_.emplace_back(jt.work);
-  dc_.resize(config_->num_data_centers());
-  for (auto& row : dc_) {
-    row.reserve(config_->num_job_types());
-    for (const auto& jt : config_->job_types) row.emplace_back(jt.work);
-  }
-  valued_arrivals_ = arrivals_->has_valued_arrivals();
-  deadlines_possible_ = valued_arrivals_;
-  for (const auto& jt : config_->job_types) {
-    if (jt.deadline != kNoDeadline) deadlines_possible_ = true;
-  }
+                                   std::shared_ptr<Scheduler> scheduler)
+    : fairness_fn_({1.0}), metrics_(1, 1) {
+  reset(std::move(config), std::move(prices), std::move(availability),
+        std::move(arrivals), std::move(scheduler));
 }
 
 void SimulationEngine::set_admission_policy(std::shared_ptr<AdmissionPolicy> policy) {
@@ -80,8 +40,7 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
                              std::shared_ptr<const PriceModel> prices,
                              std::shared_ptr<const AvailabilityModel> availability,
                              std::shared_ptr<const ArrivalProcess> arrivals,
-                             std::shared_ptr<Scheduler> scheduler,
-                             EngineOptions options) {
+                             std::shared_ptr<Scheduler> scheduler) {
   GREFAR_CHECK_MSG(config != nullptr, "SimulationEngine needs a cluster config");
   GREFAR_CHECK(prices != nullptr && availability != nullptr &&
                arrivals != nullptr && scheduler != nullptr);
@@ -103,7 +62,6 @@ void SimulationEngine::reset(std::shared_ptr<const ClusterConfig> config,
   availability_ = std::move(availability);
   arrivals_ = std::move(arrivals);
   scheduler_ = std::move(scheduler);
-  options_ = options;
   admission_.reset();
   inspector_.reset();
 
@@ -433,15 +391,9 @@ void SimulationEngine::serve(const SlotObservation& obs, const SlotAction& actio
     double dc_completions = 0.0;
     for (std::size_t j = 0; j < J; ++j) {
       if (want[j] <= 0.0) continue;
-      // In literal-(13) mode, only work queued at the start of the slot is
-      // servable this slot.
-      double servable = want[j];
-      if (!options_.serve_routed_same_slot) {
-        servable = std::min(servable, obs.dc_queue(i, j) * config_->job_types[j].work);
-      }
       double consumed = 0.0;
       completions_.clear();
-      dc_[i][j].serve_into(servable, slot_, &consumed, completions_,
+      dc_[i][j].serve_into(want[j], slot_, &consumed, completions_,
                            config_->job_types[j].max_rate);
       if (inspector_ != nullptr) served_mat_(i, j) = consumed;
       dc_work += consumed;

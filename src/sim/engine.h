@@ -50,33 +50,27 @@
 
 namespace grefar {
 
-struct EngineOptions {
-  /// When true (default) slot-t service may also cover jobs routed during
-  /// slot t; when false service applies only to jobs already queued at the
-  /// start of the slot (the literal eq. (13) ordering).
-  bool serve_routed_same_slot = true;
-};
-
 class SimulationEngine {
  public:
   SimulationEngine(ClusterConfig config, std::shared_ptr<const PriceModel> prices,
                    std::shared_ptr<const AvailabilityModel> availability,
                    std::shared_ptr<const ArrivalProcess> arrivals,
-                   std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+                   std::shared_ptr<Scheduler> scheduler);
 
   /// Shared-config overload: at M = 10^6 accounts a ClusterConfig weighs
   /// ~10^2 MB, so engine/scheduler/auditor sharing one immutable instance
   /// (instead of a value copy each) is what keeps peak RSS bounded
-  /// (DESIGN.md §12). The by-value overload above delegates here.
+  /// (DESIGN.md §12). The by-value overload above delegates here, and this
+  /// one binds the config and models through reset().
   SimulationEngine(std::shared_ptr<const ClusterConfig> config,
                    std::shared_ptr<const PriceModel> prices,
                    std::shared_ptr<const AvailabilityModel> availability,
                    std::shared_ptr<const ArrivalProcess> arrivals,
-                   std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+                   std::shared_ptr<Scheduler> scheduler);
 
   /// Rebinds this engine to a new scenario without reconstructing it — the
   /// sweep arena's reuse path (DESIGN.md §16). Performs the constructor's
-  /// null/dimension checks, swaps in the new models/scheduler/options, and
+  /// null/dimension checks, swaps in the new models and scheduler, and
   /// returns every piece of mutable simulation state (queues, metrics, slot
   /// counter, job ids, per-account accumulators) to its freshly-constructed
   /// value; admission policy and inspector are detached (re-attach per leg).
@@ -88,7 +82,7 @@ class SimulationEngine {
              std::shared_ptr<const PriceModel> prices,
              std::shared_ptr<const AvailabilityModel> availability,
              std::shared_ptr<const ArrivalProcess> arrivals,
-             std::shared_ptr<Scheduler> scheduler, EngineOptions options = {});
+             std::shared_ptr<Scheduler> scheduler);
 
   /// Advances the simulation by `slots` steps.
   void run(std::int64_t slots);
@@ -154,7 +148,6 @@ class SimulationEngine {
   std::shared_ptr<const ArrivalProcess> arrivals_;
   std::shared_ptr<Scheduler> scheduler_;
   std::shared_ptr<AdmissionPolicy> admission_;   // nullptr = admit all
-  EngineOptions options_;
   /// True when the arrival process carries per-batch value annotations;
   /// admit_arrivals then pulls valued batches instead of plain counts.
   bool valued_arrivals_ = false;

@@ -42,6 +42,7 @@ SweepRunStats SweepEngine::run(
   spec.validate();
   GREFAR_CHECK(collect != nullptr);
   GREFAR_CHECK(options_.audit_stride >= 1);
+  GREFAR_CHECK_MSG(!options_.warm_start, "cross-leg warm starts are not supported");
   const auto run_start = std::chrono::steady_clock::now();
   const std::size_t num_legs = spec.num_legs();
 
@@ -74,16 +75,10 @@ SweepRunStats SweepEngine::run(
     plans.push_back(std::move(plan));
   }
 
-  // Phase 2: chunked parallel execution. Warm mode aligns chunk boundaries
-  // to the innermost-axis run length so each warm leg's predecessor chain
-  // stays within its own chunk (fixed warm ancestry at any --jobs).
+  // Phase 2: chunked parallel execution.
   const std::size_t jobs =
       options_.jobs == 0 ? ThreadPool::default_concurrency() : options_.jobs;
-  std::size_t chunk = std::max<std::size_t>(options_.chunk_size, 1);
-  if (options_.warm_start) {
-    const std::size_t L = spec.innermost_run_length();
-    chunk = (chunk + L - 1) / L * L;
-  }
+  const std::size_t chunk = std::max<std::size_t>(options_.chunk_size, 1);
   const std::size_t num_ranges = (num_legs + chunk - 1) / chunk;
   const std::size_t workers = std::max<std::size_t>(
       1, std::min(jobs, num_ranges));  // mirrors SimRunner's task count
@@ -92,7 +87,6 @@ SweepRunStats SweepEngine::run(
     arenas_.resize(workers);
   }
   const AuditMode audit = resolve_audit(options_.audit);
-  const std::size_t innermost = spec.innermost_run_length();
 
   std::vector<double> leg_ms(num_legs, 0.0);
   SimRunner runner(jobs);
@@ -111,16 +105,8 @@ SweepRunStats SweepEngine::run(
                                    arena.grefar != nullptr &&
                                    arena.grefar_config == art.config.get();
           if (reuse_sched) {
-            // Warm only when the predecessor leg ran on this worker, in the
-            // same innermost run (leg % L != 0 ⇒ leg-1 shares the chunk) and
-            // on the same scenario.
-            const bool keep_warm =
-                options_.warm_start && arena.has_last &&
-                arena.last_leg + 1 == leg && leg % innermost != 0 &&
-                arena.last_scenario_key == plan.scenario_key;
-            arena.grefar->begin_run(plan.grefar->params, solver, keep_warm);
+            arena.grefar->begin_run(plan.grefar->params, solver);
             obs::count("sweep.scheduler_reuses");
-            if (keep_warm) obs::count("sweep.warm_start_legs");
           } else {
             arena.grefar = std::make_shared<GreFarScheduler>(
                 art.config, plan.grefar->params, solver);
@@ -136,13 +122,12 @@ SweepRunStats SweepEngine::run(
 
         if (options_.reuse_engines && arena.engine != nullptr) {
           arena.engine->reset(art.config, art.prices, art.availability,
-                              art.arrivals, std::move(scheduler),
-                              plan.engine_options);
+                              art.arrivals, std::move(scheduler));
           obs::count("sweep.engine_reuses");
         } else {
           arena.engine = std::make_unique<SimulationEngine>(
               art.config, art.prices, art.availability, art.arrivals,
-              std::move(scheduler), plan.engine_options);
+              std::move(scheduler));
           obs::count("sweep.engine_builds");
         }
         SimulationEngine& engine = *arena.engine;
@@ -167,9 +152,6 @@ SweepRunStats SweepEngine::run(
                           std::chrono::steady_clock::now() - t0)
                           .count();
         collect(leg, engine);
-        arena.has_last = true;
-        arena.last_leg = leg;
-        arena.last_scenario_key = plan.scenario_key;
       },
       chunk);
 

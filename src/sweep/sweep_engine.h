@@ -1,7 +1,6 @@
 // SweepEngine: executes a SweepSpec's cross product with shared scenario
-// artifacts, per-worker engine/scheduler arenas, chunked dynamic scheduling
-// and (opt-in) cross-leg warm starts. DESIGN.md §16 documents the
-// determinism argument; the short version:
+// artifacts, per-worker engine/scheduler arenas and chunked scheduling.
+// DESIGN.md §16 documents the determinism argument; the short version:
 //
 //   * Plans are resolved serially in leg order; unique scenario keys are
 //     materialized up front in first-reference order, so materialization
@@ -13,12 +12,7 @@
 //     thread; with reuse, the per-worker arena state entering a leg is made
 //     equivalent to a fresh engine/scheduler by reset()/begin_run(), so the
 //     leg's outputs are a pure function of the leg alone — bit-identical at
-//     any jobs and chunk size.
-//   * warm_start breaks that per-leg purity on purpose (a warm leg reuses
-//     its predecessor's solver state): determinism is then recovered by
-//     rounding the chunk up to a multiple of the innermost-axis run length,
-//     which pins every leg's warm ancestry regardless of jobs. Warm results
-//     are NOT bitwise-comparable to cold results.
+//     any jobs and chunk size, with or without arena reuse.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +33,14 @@ namespace sweep {
 struct SweepOptions {
   /// Worker count; 0 = ThreadPool::default_concurrency().
   std::size_t jobs = 1;
-  /// Legs per ticket range (>= 1). With warm_start it is rounded up to a
-  /// multiple of the spec's innermost run length.
+  /// Legs per ticket range (>= 1).
   std::size_t chunk_size = 1;
   /// Reuse each worker's engine + GreFar scheduler across its legs (the
   /// arena path). Off = construct fresh per leg (the reference behaviour
   /// the determinism suite compares against).
   bool reuse_engines = true;
-  /// Cross-leg warm starts along the innermost axis (GreFar legs only).
-  /// Perf mode: results converge to the same optima but are not bitwise
-  /// equal to cold runs. Implies nothing unless reuse_engines is set.
+  /// Cross-leg warm starts are not supported: run() rejects true, so every
+  /// leg starts cold. Callers may still set the field to false.
   bool warm_start = false;
   /// Per-leg InvariantAuditor attachment (scenario/paper_scenario.h
   /// semantics: kAuto = throw in Debug, off in Release).
@@ -109,9 +101,6 @@ class SweepEngine {
     std::unique_ptr<SimulationEngine> engine;
     std::shared_ptr<GreFarScheduler> grefar;
     const ClusterConfig* grefar_config = nullptr;  // config grefar was built on
-    bool has_last = false;
-    std::size_t last_leg = 0;
-    std::string last_scenario_key;
   };
 
   SweepOptions options_;

@@ -5,10 +5,9 @@
 // two callbacks: `scenario` maps a grid point to the PaperScenario it runs
 // in (legs mapping to the same scenario_key share one materialized artifact
 // set — see artifact_cache.h), and `plan` maps a grid point to the leg's
-// scheduler/admission/engine configuration. Leg indices enumerate the cross
+// scheduler/admission configuration. Leg indices enumerate the cross
 // product row-major: leg = ((i0 * n1 + i1) * n2 + i2) ... with the last
-// axis fastest, so consecutive legs differ (mostly) in the innermost axis —
-// exactly the adjacency the cross-leg warm starts exploit.
+// axis fastest.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +54,8 @@ struct SweepPoint {
 
 /// The GreFar fast path: legs declaring params (+ optional solver override)
 /// ride the scheduler arena — one persistent GreFarScheduler per worker is
-/// re-targeted via begin_run() instead of reconstructed, and adjacent legs
-/// may warm-start. Legs needing any other Scheduler provide make_scheduler.
+/// re-targeted via begin_run() instead of reconstructed. Legs needing any
+/// other Scheduler provide make_scheduler.
 struct GreFarLegSpec {
   GreFarParams params;
   std::optional<PerSlotSolver> solver;  // default: GreFar's beta rule
@@ -74,7 +73,6 @@ struct LegPlan {
   /// attached when this is unset and the scenario carries one).
   std::function<std::shared_ptr<AdmissionPolicy>(const ScenarioArtifacts&)>
       make_admission;
-  EngineOptions engine_options;
 };
 
 class SweepSpec {
@@ -87,12 +85,6 @@ class SweepSpec {
   std::size_t num_axes() const { return axes.size(); }
   std::size_t num_legs() const;
   SweepPoint point(std::size_t leg) const;
-
-  /// Size of the innermost (fastest-varying) axis: consecutive legs within
-  /// a run of this length share every outer coordinate. Warm-start chunking
-  /// aligns chunk boundaries to multiples of this, so a warm leg's
-  /// predecessor is always in the same chunk. 1 when there are no axes.
-  std::size_t innermost_run_length() const;
 
   void validate() const;
 };

@@ -25,7 +25,7 @@ StreamingJobTraceSource::StreamingJobTraceSource(
              const CsvPosition& row_start) {
         return on_row(fields, row_index, row_start);
       },
-      CsvDialect{}, options_.limits);
+      options_.limits);
   // Prime far enough to classify the header so schema() works immediately;
   // any error found here stays sticky and surfaces from the first pull.
   while (!eof_ && rows_total_ == 0 && !error_) {
@@ -183,7 +183,7 @@ StreamingPriceTraceSource::StreamingPriceTraceSource(
              const CsvPosition& row_start) {
         return on_row(fields, row_index, row_start);
       },
-      CsvDialect{}, options_.limits);
+      options_.limits);
 }
 
 StreamingPriceTraceSource::StreamingPriceTraceSource(

@@ -38,28 +38,6 @@ std::string CsvWriter::escape(const std::string& field) const {
   return out;
 }
 
-Result<std::vector<std::vector<std::string>>> CsvReader::parse(std::string_view text) const {
-  std::vector<std::vector<std::string>> rows;
-  CsvDialect dialect;
-  dialect.separator = sep_;
-  Status st = parse_csv(
-      text,
-      [&rows](const std::vector<std::string>& fields, std::uint64_t /*row*/,
-              const CsvPosition& /*row_start*/) -> Status {
-        rows.push_back(fields);
-        return {};
-      },
-      dialect, limits_);
-  if (!st.ok()) return st.error();
-  return rows;
-}
-
-Result<std::vector<std::vector<std::string>>> CsvReader::parse_file(const std::string& path) const {
-  auto content = read_file(path);
-  if (!content.ok()) return content.error();
-  return parse(content.value());
-}
-
 Result<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Error::make("cannot open file: " + path);

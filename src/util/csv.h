@@ -1,13 +1,13 @@
-// Minimal RFC-4180-style CSV reader/writer used by the trace module and the
-// benchmark harness. Supports quoted fields containing separators, quotes
-// (doubled) and newlines.
+// Minimal RFC-4180-style CSV writer plus whole-file read/write helpers, used
+// by the trace module and the benchmark harness. Parsing lives in
+// trace/stream_csv.h.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "trace/stream_csv.h"
 #include "util/result.h"
 
 namespace grefar {
@@ -29,28 +29,6 @@ class CsvWriter {
 
   std::ostream& out_;
   char sep_;
-};
-
-/// Parses CSV text into materialized rows of fields. A thin wrapper over
-/// StreamCsvParser (trace/stream_csv.h) — the repo's one CSV state machine —
-/// with the historical lenient dialect. `limits` bounds resource usage
-/// (max field bytes / fields per row / row count); violations and malformed
-/// quoting fail with byte-offset diagnostics.
-class CsvReader {
- public:
-  explicit CsvReader(char sep = ',', CsvLimits limits = {})
-      : sep_(sep), limits_(limits) {}
-
-  /// Parses an entire document. Returns all rows (the caller decides whether
-  /// the first is a header). Fails on unterminated quotes.
-  Result<std::vector<std::vector<std::string>>> parse(std::string_view text) const;
-
-  /// Reads and parses a whole file.
-  Result<std::vector<std::vector<std::string>>> parse_file(const std::string& path) const;
-
- private:
-  char sep_;
-  CsvLimits limits_;
 };
 
 /// Reads an entire file into a string.

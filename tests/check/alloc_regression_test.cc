@@ -67,7 +67,7 @@ double measure_allocs_per_slot(PerSlotSolver solver, double beta) {
   auto scheduler = std::make_shared<GreFarScheduler>(
       scenario.config, paper_grefar_params(/*V=*/7.5, beta), solver);
   auto engine =
-      make_scenario_engine(scenario, std::move(scheduler), {}, AuditMode::kOff);
+      make_scenario_engine(scenario, std::move(scheduler), AuditMode::kOff);
   engine->run(kWarmupSlots);
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);

@@ -20,7 +20,7 @@ TEST(InvariantAuditor, CleanOverGreFarOnSmallScenario) {
   auto engine = make_scenario_engine(
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(7.5, 0.0)),
-      {}, AuditMode::kRecord);
+      AuditMode::kRecord);
   engine->run(300);
   const auto* auditor = dynamic_cast<const InvariantAuditor*>(engine->inspector());
   ASSERT_NE(auditor, nullptr);
@@ -35,7 +35,7 @@ TEST(InvariantAuditor, CleanOverGreFarWithFairnessOnPaperScenario) {
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config, paper_grefar_params(7.5, 100.0),
                                         PerSlotSolver::kProjectedGradient),
-      {}, AuditMode::kRecord);
+      AuditMode::kRecord);
   engine->run(150);
   const auto* auditor = dynamic_cast<const InvariantAuditor*>(engine->inspector());
   ASSERT_NE(auditor, nullptr);
@@ -44,17 +44,12 @@ TEST(InvariantAuditor, CleanOverGreFarWithFairnessOnPaperScenario) {
 
 TEST(InvariantAuditor, CleanOverBaselinesAndLiteralDynamics) {
   auto scenario = make_small_scenario(13);
-  EngineOptions literal;
-  literal.serve_routed_same_slot = false;  // the literal eq. (13) ordering
-  for (const auto& options : {EngineOptions{}, literal}) {
-    auto engine = make_scenario_engine(
-        scenario, std::make_shared<AlwaysScheduler>(scenario.config), options,
-        AuditMode::kRecord);
-    engine->run(200);
-    const auto* auditor = dynamic_cast<const InvariantAuditor*>(engine->inspector());
-    ASSERT_NE(auditor, nullptr);
-    EXPECT_TRUE(auditor->ok()) << auditor->report();
-  }
+  auto engine = make_scenario_engine(
+      scenario, std::make_shared<AlwaysScheduler>(scenario.config), AuditMode::kRecord);
+  engine->run(200);
+  const auto* auditor = dynamic_cast<const InvariantAuditor*>(engine->inspector());
+  ASSERT_NE(auditor, nullptr);
+  EXPECT_TRUE(auditor->ok()) << auditor->report();
 }
 
 // -- unit: hand-built records with deliberate violations ---------------------

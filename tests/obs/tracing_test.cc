@@ -19,38 +19,33 @@
 namespace grefar {
 namespace {
 
-// Runs the small 2-DC scenario under GreFar for `slots` with a tracer
-// attached and returns the serialized records (ring snapshot).
-std::vector<std::string> run_traced(std::uint64_t seed, std::int64_t slots,
-                                    std::shared_ptr<obs::TraceSink> sink = nullptr) {
-  if (sink == nullptr) {
-    sink = std::make_shared<obs::TraceSink>(obs::TraceSink::Options{});
-  }
-  PaperScenario scenario = make_small_scenario(seed);
-  auto engine = make_scenario_engine(
-      scenario,
-      std::make_shared<GreFarScheduler>(scenario.config,
-                                        paper_grefar_params(7.5, 10.0)),
-      {}, AuditMode::kOff);
-  engine->set_inspector(std::make_shared<obs::TracingInspector>(sink));
-  engine->run(slots);
-  return sink->ring();
+// Reads a JSONL file back as one string per line.
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
-TEST(TraceSink, RingKeepsMostRecentRecords) {
-  obs::TraceSink::Options options;
-  options.ring_capacity = 2;
-  obs::TraceSink sink(options);
-  JsonObject o;
-  for (int i = 0; i < 5; ++i) {
-    o["i"] = JsonValue(i);
-    sink.write(JsonValue(o));
-  }
-  EXPECT_EQ(sink.records_written(), 5u);
-  const auto ring = sink.ring();
-  ASSERT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring[0], "{\"i\":3}");
-  EXPECT_EQ(ring[1], "{\"i\":4}");
+// Runs the small 2-DC scenario under GreFar for `slots` with a tracer
+// attached and returns the records it wrote, one JSONL line each.
+std::vector<std::string> run_traced(std::uint64_t seed, std::int64_t slots) {
+  const std::string path = testing::TempDir() + "tracing_test_run.jsonl";
+  {
+    auto sink = std::make_shared<obs::TraceSink>(obs::TraceSink::Options{path});
+    PaperScenario scenario = make_small_scenario(seed);
+    auto engine = make_scenario_engine(
+        scenario,
+        std::make_shared<GreFarScheduler>(scenario.config,
+                                          paper_grefar_params(7.5, 10.0)),
+        AuditMode::kOff);
+    engine->set_inspector(std::make_shared<obs::TracingInspector>(sink));
+    engine->run(slots);
+  }  // the sink's destructor flushes the file
+  std::vector<std::string> lines = read_lines(path);
+  std::remove(path.c_str());
+  return lines;
 }
 
 TEST(TraceSink, WritesJsonlFile) {
@@ -65,12 +60,9 @@ TEST(TraceSink, WritesJsonlFile) {
     sink.write(JsonValue(o));
     o["slot"] = JsonValue(1);
     sink.write(JsonValue(o));
+    EXPECT_EQ(sink.records_written(), 2u);
   }  // destructor flushes
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
+  const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "{\"slot\":0}");
   EXPECT_EQ(lines[1], "{\"slot\":1}");
@@ -81,9 +73,9 @@ TEST(TraceSink, WritesJsonlFile) {
 // is present with the right shape, so downstream tools (trace_inspect) can
 // rely on the schema.
 TEST(TracingInspector, RecordSchemaIsComplete) {
-  const auto ring = run_traced(/*seed=*/7, /*slots=*/20);
-  ASSERT_EQ(ring.size(), 20u);
-  auto parsed = parse_json(ring.front());
+  const auto lines = run_traced(/*seed=*/7, /*slots=*/20);
+  ASSERT_EQ(lines.size(), 20u);
+  auto parsed = parse_json(lines.front());
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   const JsonValue& rec = parsed.value();
   ASSERT_TRUE(rec.is_object());
@@ -123,24 +115,6 @@ TEST(TracingInspector, TraceIsByteIdenticalAcrossRuns) {
   EXPECT_NE(first, other_seed);
 }
 
-TEST(TracingInspector, MatrixFreeModeOmitsMatrices) {
-  auto sink = std::make_shared<obs::TraceSink>(obs::TraceSink::Options{});
-  PaperScenario scenario = make_small_scenario(3);
-  auto engine = make_scenario_engine(
-      scenario,
-      std::make_shared<GreFarScheduler>(scenario.config,
-                                        paper_grefar_params(7.5, 0.0)),
-      {}, AuditMode::kOff);
-  obs::TracingInspectorOptions options;
-  options.include_matrices = false;
-  engine->set_inspector(std::make_shared<obs::TracingInspector>(sink, options));
-  engine->run(3);
-  auto parsed = parse_json(sink->ring().front());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().find("routed"), nullptr);
-  EXPECT_NE(parsed.value().find("central_queue"), nullptr);
-}
-
 // A counting inspector for the tee test.
 class CountingInspector final : public SlotInspector {
  public:
@@ -164,7 +138,7 @@ TEST(Counters, EngineCounterTotalsAreJobCountInvariant) {
           scenario,
           std::make_shared<GreFarScheduler>(scenario.config,
                                             paper_grefar_params(7.5, 0.0)),
-          {}, AuditMode::kOff);
+          AuditMode::kOff);
       engine->run(40);
     });
     return reg;
@@ -184,7 +158,7 @@ TEST(TeeInspector, FansOutToAllInspectors) {
       scenario,
       std::make_shared<GreFarScheduler>(scenario.config,
                                         paper_grefar_params(7.5, 0.0)),
-      {}, AuditMode::kOff);
+      AuditMode::kOff);
   engine->set_inspector(std::make_shared<obs::TeeInspector>(
       std::vector<std::shared_ptr<SlotInspector>>{a, b}));
   engine->run(4);

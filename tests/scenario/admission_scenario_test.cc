@@ -25,7 +25,7 @@ std::unique_ptr<SimulationEngine> run_policy(std::uint64_t seed,
       PerSlotSolver::kProjectedGradient);
   // kThrow: every slot is machine-checked, including the new admission
   // accounting, deadline-feasibility and value-conservation invariants.
-  return run_scenario(s, std::move(scheduler), kHorizon, {}, AuditMode::kThrow);
+  return run_scenario(s, std::move(scheduler), kHorizon, AuditMode::kThrow);
 }
 
 TEST(AdmissionScenario, ScenarioShape) {

@@ -46,14 +46,14 @@ SlotAction idle_action(const SlotObservation& obs) {
 
 std::unique_ptr<SimulationEngine> make_engine(
     LambdaScheduler::Fn fn, std::vector<std::int64_t> arrivals = {2},
-    ClusterConfig config = simple_config(), EngineOptions options = {}) {
+    ClusterConfig config = simple_config()) {
   auto prices = std::make_shared<ConstantPriceModel>(
       std::vector<double>(config.num_data_centers(), 0.5));
   auto avail = std::make_shared<FullAvailability>(config.data_centers);
   auto arr = std::make_shared<ConstantArrivals>(std::move(arrivals));
   auto sched = std::make_shared<LambdaScheduler>(std::move(fn));
   return std::make_unique<SimulationEngine>(std::move(config), prices, avail, arr,
-                                            sched, options);
+                                            sched);
 }
 
 TEST(Engine, ArrivalsEnterCentralQueue) {
@@ -167,25 +167,6 @@ TEST(Engine, ServiceCompletesJobsAndChargesEnergy) {
   EXPECT_DOUBLE_EQ(m.dc_completions[0].at(1), 2.0);
   // Jobs arrived at slot 0, completed at slot 1: delay 1 each.
   EXPECT_DOUBLE_EQ(m.dc_delay_sum[0].at(1), 2.0);
-}
-
-TEST(Engine, LiteralOrderingDelaysServiceOneSlot) {
-  EngineOptions options;
-  options.serve_routed_same_slot = false;
-  auto engine = make_engine(
-      [](const SlotObservation& obs) {
-        auto a = idle_action(obs);
-        a.route(0, 0) = obs.central_queue[0];
-        a.process(0, 0) = 100.0;  // serve whatever is in the DC queue
-        return a;
-      },
-      {2}, simple_config(), options);
-  engine->run(3);
-  const auto& m = engine->metrics();
-  // Jobs routed at slot 1 are only servable at slot 2 => delay 2.
-  EXPECT_DOUBLE_EQ(m.dc_completions[0].at(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.dc_completions[0].at(2), 2.0);
-  EXPECT_DOUBLE_EQ(m.dc_delay_sum[0].at(2), 4.0);
 }
 
 TEST(Engine, ProcessingIsClampedToCapacity) {

@@ -129,7 +129,7 @@ TEST(ArtifactCacheTest, EngineRunOnArtifactsMatchesLazyScenarioBitwise) {
   auto run = [&](const PaperScenario& s) {
     auto scheduler = std::make_shared<GreFarScheduler>(
         s.config, paper_grefar_params(/*V=*/7.5, /*beta=*/100.0));
-    auto engine = make_scenario_engine(s, std::move(scheduler), {}, AuditMode::kOff);
+    auto engine = make_scenario_engine(s, std::move(scheduler), AuditMode::kOff);
     engine->run(kRun);
     return engine;
   };

@@ -18,9 +18,9 @@
 
 #include "baselines/baselines.h"
 #include "core/grefar.h"
-#include "obs/counters.h"
 #include "scenario/paper_scenario.h"
 #include "sweep/sweep_engine.h"
+#include "util/check.h"
 
 namespace grefar {
 namespace sweep {
@@ -180,62 +180,12 @@ TEST(SweepEngineTest, MatchesRebuildPerLegPathBitwise) {
   }
 }
 
-/// GreFar-only spec for the warm-start tests (warm starts apply to the
-/// scheduler arena path; the LP solver also reuses its simplex basis).
-SweepSpec warm_spec() {
-  SweepSpec spec;
-  spec.axes = {{.name = "seed", .values = {42.0, 43.0}},
-               {.name = "V", .values = {2.0, 7.5, 12.0, 20.0}}};
-  spec.horizon = kHorizon;
-  spec.scenario = [](const SweepPoint& p) {
-    return make_paper_scenario(kSeed + p.index(0));
-  };
-  spec.plan = [](const SweepPoint& p) {
-    LegPlan plan;
-    plan.scenario_key = "paper/seed=" + std::to_string(kSeed + p.index(0));
-    plan.grefar =
-        GreFarLegSpec{paper_grefar_params(p.value(1), 0.0), PerSlotSolver::kLp};
-    return plan;
-  };
-  return spec;
-}
-
-TEST(SweepEngineTest, WarmStartsAreDeterministicAcrossJobsAndChunks) {
-  SweepSpec spec = warm_spec();
-  SweepOptions reference_options;
-  reference_options.jobs = 1;
-  reference_options.chunk_size = 1;
-  reference_options.warm_start = true;
-  auto reference = run_digests(reference_options, spec);
-  for (std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-      SweepOptions options = reference_options;
-      options.jobs = jobs;
-      options.chunk_size = chunk;
-      auto digests = run_digests(options, spec);
-      for (std::size_t leg = 0; leg < digests.size(); ++leg) {
-        EXPECT_TRUE(digests[leg] == reference[leg])
-            << "warm leg " << leg << " differs at jobs=" << jobs
-            << " chunk=" << chunk;
-      }
-    }
-  }
-}
-
-TEST(SweepEngineTest, WarmStartsActuallyFire) {
-  SweepSpec spec = warm_spec();
+TEST(SweepEngineTest, RejectsWarmStart) {
   SweepOptions options;
-  options.jobs = 1;
   options.warm_start = true;
-  obs::CounterRegistry counters;
-  {
-    obs::CountersScope scope(&counters);
-    SweepEngine engine(options);
-    engine.run(spec, [](std::size_t, SimulationEngine&) {});
-  }
-  // 2 runs of 4 V values: legs 1..3 of each run are warm-eligible.
-  EXPECT_EQ(counters.counter("sweep.warm_start_legs"), 6u);
-  EXPECT_GT(counters.counter("per_slot.lp_warm_starts"), 0u);
+  SweepEngine engine(options);
+  EXPECT_THROW(engine.run(small_spec(), [](std::size_t, SimulationEngine&) {}),
+               ContractViolation);
 }
 
 TEST(SweepEngineTest, AuditStrideSamplesLegs) {

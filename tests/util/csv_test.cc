@@ -5,8 +5,23 @@
 #include <cstdio>
 #include <sstream>
 
+#include "trace/stream_csv.h"
+
 namespace grefar {
 namespace {
+
+using Rows = std::vector<std::vector<std::string>>;
+
+Rows parse_rows(std::string_view text) {
+  Rows rows;
+  Status st = parse_csv(text, [&rows](const std::vector<std::string>& fields,
+                                      std::uint64_t, const CsvPosition&) -> Status {
+    rows.push_back(fields);
+    return {};
+  });
+  EXPECT_TRUE(st.ok()) << st.error().message;
+  return rows;
+}
 
 std::string write_rows(const std::vector<std::vector<std::string>>& rows) {
   std::ostringstream os;
@@ -38,76 +53,10 @@ TEST(CsvWriter, DoubleRow) {
   EXPECT_EQ(os.str(), "1.50,2.00\n");
 }
 
-TEST(CsvReader, ParsesSimpleDocument) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\n1,2\n").value();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
-}
-
-TEST(CsvReader, HandlesMissingTrailingNewline) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\n1,2").value();
-  ASSERT_EQ(rows.size(), 2u);
-}
-
-TEST(CsvReader, QuotedFieldWithSeparator) {
-  CsvReader reader;
-  auto rows = reader.parse("\"a,b\",c\n").value();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a,b", "c"}));
-}
-
-TEST(CsvReader, QuotedFieldWithEscapedQuote) {
-  CsvReader reader;
-  auto rows = reader.parse("\"say \"\"hi\"\"\"\n").value();
-  EXPECT_EQ(rows[0][0], "say \"hi\"");
-}
-
-TEST(CsvReader, QuotedFieldWithNewline) {
-  CsvReader reader;
-  auto rows = reader.parse("\"l1\nl2\",x\n").value();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "l1\nl2");
-}
-
-TEST(CsvReader, ToleratesCrLf) {
-  CsvReader reader;
-  auto rows = reader.parse("a,b\r\n1,2\r\n").value();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "2");
-}
-
-TEST(CsvReader, EmptyFields) {
-  CsvReader reader;
-  auto rows = reader.parse("a,,c\n").value();
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "", "c"}));
-}
-
-TEST(CsvReader, FailsOnUnterminatedQuote) {
-  CsvReader reader;
-  EXPECT_FALSE(reader.parse("\"abc\n").ok());
-}
-
-TEST(CsvReader, EmptyDocumentHasNoRows) {
-  CsvReader reader;
-  EXPECT_TRUE(reader.parse("").value().empty());
-}
-
-TEST(CsvReader, CustomSeparator) {
-  CsvReader reader(';');
-  auto rows = reader.parse("a;b\n").value();
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(CsvRoundTrip, WriterOutputParsesBack) {
-  std::vector<std::vector<std::string>> original{
-      {"plain", "with,comma", "with \"quote\"", "multi\nline"},
-      {"", "x", "", "y"}};
-  CsvReader reader;
-  auto parsed = reader.parse(write_rows(original)).value();
-  EXPECT_EQ(parsed, original);
+  const Rows original{{"plain", "with,comma", "with \"quote\"", "multi\nline"},
+                      {"", "x", "", "y"}};
+  EXPECT_EQ(parse_rows(write_rows(original)), original);
 }
 
 TEST(FileIo, WriteAndReadBack) {
@@ -127,40 +76,10 @@ TEST(FileIo, ReadMissingFileFails) {
 TEST(FileIo, ParseFileRoundTrip) {
   std::string path = ::testing::TempDir() + "/grefar_csv_parse.csv";
   ASSERT_TRUE(write_file(path, "h1,h2\n1,2\n").ok());
-  CsvReader reader;
-  auto rows = reader.parse_file(path);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 2u);
+  auto content = read_file(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(parse_rows(content.value()).size(), 2u);
   std::remove(path.c_str());
-}
-
-TEST(CsvReaderLimits, FieldBytesEnforcedWithByteOffset) {
-  CsvLimits limits;
-  limits.max_field_bytes = 3;
-  CsvReader reader(',', limits);
-  EXPECT_TRUE(reader.parse("abc,def\n").ok());
-  auto rows = reader.parse("abcd\n");
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.error().message,
-            "CSV field exceeds max_field_bytes=3 at byte 3 (line 1, col 4)");
-}
-
-TEST(CsvReaderLimits, RowAndDocumentLimits) {
-  CsvLimits limits;
-  limits.max_fields_per_row = 2;
-  limits.max_rows = 2;
-  CsvReader reader(',', limits);
-  EXPECT_TRUE(reader.parse("a,b\nc,d\n").ok());
-  EXPECT_FALSE(reader.parse("a,b,c\n").ok());
-  EXPECT_FALSE(reader.parse("a\nb\nc\n").ok());
-}
-
-TEST(CsvReaderLimits, DefaultLimitsAreGenerous) {
-  CsvReader reader;
-  std::string wide(1000, 'x');
-  auto rows = reader.parse(wide + "," + wide + "\n");
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value()[0][0].size(), 1000u);
 }
 
 }  // namespace
